@@ -35,6 +35,13 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== benchmark harness tests =="
+# The benchmark is a workspace of its own (bench/Cargo.toml). Its tests
+# include tiny-size runs of every workload with their digest checks, so
+# the serve + submit and dispatch + work shapes drive the accept loop
+# end to end on every CI run.
+cargo test -q --release --offline --manifest-path bench/Cargo.toml
+
 echo "== pipeline determinism (1, 2, 8 threads) =="
 # The sharded pipeline's hard contract, run explicitly so CI logs show
 # it even when the quiet test harness truncates: bit-identical pooled

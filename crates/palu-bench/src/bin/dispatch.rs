@@ -19,7 +19,7 @@ use palu_traffic::pipeline::{FaultTolerantPool, Measurement, Pipeline};
 use palu_traffic::service::{query_fit, request_shutdown, Collector, RetryPolicy, ServiceConfig};
 use palu_traffic::wire::FitSnapshot;
 use palu_traffic::{FailurePolicy, ServiceFault, WireInjector, WireSpec};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 const WINDOWS: usize = 48;
@@ -205,8 +205,8 @@ fn main() {
     println!("E-DSP — federation dispatcher: lease-supervised capture, chaos-recovery overhead");
     println!("  workload: {WINDOWS} windows × N_V = {N_V}, {SHARDS} shards over loopback TCP");
 
-    let dir: PathBuf = std::env::temp_dir().join("palu-bench-dispatch");
-    std::fs::create_dir_all(&dir).expect("bench temp dir");
+    let scratch = palu_bench::ScratchDir::new("palu-bench-dispatch").expect("bench temp dir");
+    let dir = scratch.path();
 
     // 1. Single-process baseline.
     let mut obs = observatory();
@@ -234,7 +234,7 @@ fn main() {
     let mut clean_2worker_s = None;
     for n_workers in [1u64, 2, 4] {
         let tag = format!("clean-{n_workers}w");
-        let (wall_s, report) = supervised_run(&dir, &tag, n_workers, None, &baseline);
+        let (wall_s, report) = supervised_run(dir, &tag, n_workers, None, &baseline);
         assert_eq!(
             report.leases_expired, 0,
             "{tag}: no expiries on a clean run"
@@ -257,7 +257,7 @@ fn main() {
     //    deterministic re-dispatch. The overhead over the clean run at
     //    the same worker count prices one lease timeout + recapture.
     let (chaos_s, chaos_report) = supervised_run(
-        &dir,
+        dir,
         "chaos-midcapture",
         2,
         Some(WorkPhase::MidCapture),

@@ -113,8 +113,8 @@ fn main() {
     );
     println!("  workload: {WINDOWS} windows × N_V = {N_V}, {SHARDS} shards");
 
-    let dir = std::env::temp_dir().join("palu-bench-federation");
-    std::fs::create_dir_all(&dir).expect("bench temp dir");
+    let scratch = palu_bench::ScratchDir::new("palu-bench-federation").expect("bench temp dir");
+    let dir = scratch.path();
 
     // 1. Single-process baseline (durable engine, no journal).
     let mut obs = observatory();
@@ -140,7 +140,7 @@ fn main() {
     let mut shard_total_s = 0.0f64;
     let mut shard_max_s = 0.0f64;
     for shard in 0..SHARDS {
-        let (path, wall) = run_shard(&plan, shard, &dir);
+        let (path, wall) = run_shard(&plan, shard, dir);
         paths.push(path);
         shard_total_s += wall;
         shard_max_s = shard_max_s.max(wall);
@@ -201,7 +201,4 @@ fn main() {
         ("windows_recaptured", recaptured.into()),
     ]);
     record_json("BENCH_federation", &snapshot);
-    for p in &paths {
-        let _ = std::fs::remove_file(p);
-    }
 }

@@ -79,8 +79,8 @@ fn main() {
     println!("E-JRNL — durable capture journal: overhead, replay speedup, crash-equivalence");
     println!("  workload: {WINDOWS} windows × N_V = {N_V}");
 
-    let path = std::env::temp_dir().join("palu-bench-journal.journal");
-    let _ = std::fs::remove_file(&path);
+    let scratch = palu_bench::ScratchDir::new("palu-bench-journal").expect("bench temp dir");
+    let path = scratch.path().join("capture.journal");
 
     // 1. Baseline: the same capture with no journal at all.
     let (baseline, base_s, _) = run(None, None);
@@ -137,5 +137,4 @@ fn main() {
         ("torn_records_dropped", torn.into()),
     ]);
     record_json("BENCH_journal", &snapshot);
-    let _ = std::fs::remove_file(&path);
 }

@@ -113,8 +113,8 @@ fn main() {
     println!("E-SRV — federation service: submission throughput, fit latency, wire-fault overhead");
     println!("  workload: {WINDOWS} windows × N_V = {N_V}, {SHARDS} shards over loopback TCP");
 
-    let dir = std::env::temp_dir().join("palu-bench-service");
-    std::fs::create_dir_all(&dir).expect("bench temp dir");
+    let scratch = palu_bench::ScratchDir::new("palu-bench-service").expect("bench temp dir");
+    let dir = scratch.path();
 
     // 1. Single-process baseline.
     let mut obs = observatory();
@@ -168,7 +168,7 @@ fn main() {
     let retry = RetryPolicy::fast(SEED);
 
     // 3. Clean submission of all shards, then the fit-query loop.
-    let (addr, handle) = start_server(&dir, "clean");
+    let (addr, handle) = start_server(dir, "clean");
     let clean_injector = WireInjector::new(WireSpec::none(), SEED);
     let submit_s = submit_all(&addr, &paths, &clean_injector, &retry);
     let t0 = Instant::now();
@@ -199,7 +199,7 @@ fn main() {
     // 4. The same submission under a 30% wire-fault storm: retries
     //    must converge to the identical fit; the overhead is the cost
     //    of crash tolerance on a hostile wire.
-    let (addr, handle) = start_server(&dir, "storm");
+    let (addr, handle) = start_server(dir, "storm");
     let storm_injector = WireInjector::new(WireSpec::uniform(0.3), SEED + 1);
     let storm_retry = RetryPolicy {
         deadline: Duration::from_secs(120),
@@ -239,7 +239,4 @@ fn main() {
         ("storm_duplicates", storm_report.duplicates.into()),
     ]);
     record_json("BENCH_service", &snapshot);
-    for p in &paths {
-        let _ = std::fs::remove_file(p);
-    }
 }

@@ -43,6 +43,7 @@
 //! report, kept separate from the merged capture's report so the
 //! latter stays bit-identical to a single-process run.
 
+use crate::accept;
 use crate::fault::{FaultKind, FaultRecord, FaultReport, WindowOutcome};
 use crate::federation::{FederationError, ShardPlan, ShardRange};
 use crate::journal::{Journal, JournalFault, JournalHeader};
@@ -60,6 +61,7 @@ use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
 // Liveness supervision is inherently wall-clock: lease deadlines and
 // heartbeat intervals never reach a numerical result. lint:allow(R2)
@@ -479,8 +481,9 @@ impl Dispatcher {
     }
 
     /// Reclaim every lease whose deadline has passed. Expiry is lazy —
-    /// swept at each lease interaction and at the server's poll tick —
-    /// so no supervision thread exists to die at an awkward moment.
+    /// swept at each lease interaction and whenever the accept loop
+    /// re-checks completion or the stall watchdog — so no supervision
+    /// thread exists to die at an awkward moment.
     fn sweep(&self, state: &mut DispatchState) {
         let t = now();
         let expired: Vec<(u64, u64, u64)> = state
@@ -586,10 +589,11 @@ impl Dispatcher {
 
     /// Validate `(worker, fence)` against the lease on `shard`; the
     /// error is the typed zombie refusal. A `Done` slot still accepts
-    /// its *own* holder's token: `refresh_done` runs at every poll
-    /// tick and marks a shard complete the instant the collector has
-    /// its windows — often a beat before the holder's `WorkDone`
-    /// frame arrives — and that holder is finishing, not a zombie.
+    /// its *own* holder's token: `refresh_done` (run by grants, reports
+    /// and the accept loop's completion check after each session) can
+    /// mark a shard complete the instant the collector has its windows
+    /// — a beat before the holder's `WorkDone` frame arrives — and that
+    /// holder is finishing, not a zombie.
     fn check_fence(
         &self,
         state: &mut DispatchState,
@@ -839,10 +843,11 @@ impl DispatchServer {
         &self.dispatcher
     }
 
-    /// A flag that makes `run` exit at its next poll tick without
-    /// draining — the in-process stand-in for SIGKILLing the
-    /// dispatcher (all durable state is already in the collector's
-    /// journals, which is the point of the recovery test).
+    /// A flag that makes `run` exit within one accept-loop tick,
+    /// without draining or joining in-flight sessions — the
+    /// in-process stand-in for SIGKILLing the dispatcher (all durable
+    /// state is already in the collector's journals, which is the
+    /// point of the recovery test).
     pub fn stop_handle(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.stop)
     }
@@ -852,52 +857,18 @@ impl DispatchServer {
     ///
     /// # Errors
     ///
-    /// [`ServiceFault::Io`] when the listener cannot be made
-    /// nonblocking.
+    /// [`ServiceFault::Io`] when the listener cannot report its address
+    /// or the accept thread cannot be started.
     pub fn run(self) -> Result<DispatchReport, ServiceFault> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServiceFault::Io {
-                detail: e.to_string(),
-            })?;
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            if self.dispatcher.collector().draining() {
-                break;
-            }
-            if !self.dispatcher.config().linger && self.dispatcher.all_done() {
-                break;
-            }
-            if self.dispatcher.stalled() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream
-                        .set_read_timeout(Some(self.dispatcher.collector().config().read_timeout));
-                    let dispatcher = self.dispatcher.clone();
-                    handles.push(std::thread::spawn(move || {
-                        let mut stream = stream;
-                        dispatcher.handle(&mut stream);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-        if !self.stop.load(Ordering::SeqCst) {
-            for handle in handles {
-                let _ = handle.join();
-            }
-        }
+        let dispatcher = self.dispatcher.clone();
+        let d = &self.dispatcher;
+        accept::serve(
+            self.listener,
+            d.collector().config().read_timeout,
+            Some(&self.stop),
+            move |stream| dispatcher.handle(stream),
+            || d.collector().draining() || (!d.config().linger && d.all_done()) || d.stalled(),
+        )?;
         Ok(self.dispatcher.report())
     }
 }
@@ -1259,26 +1230,21 @@ where
     let limit = (chaos == Some(WorkPhase::MidCapture))
         .then(|| (ticket.hi - ticket.lo) / 2)
         .filter(|n| *n > 0);
-    let stop = AtomicBool::new(false);
     let fenced = AtomicBool::new(false);
+    // The capture side drops `done` when it returns, which wakes the
+    // heartbeat thread out of its wait at once.
+    let (done, capture_ended) = mpsc::channel::<()>();
     let captured: Result<(), FederationError> = std::thread::scope(|scope| {
-        scope.spawn(|| {
+        let fenced = &fenced;
+        scope.spawn(move || {
             let mut rng = SeedSequence::new(cfg.retry.seed).rng(ticket.fence);
-            let mut waited = Duration::ZERO;
             loop {
-                // Jittered interval in [0.5, 1.0) × heartbeat_ms,
-                // slept in small slices so shutdown is snappy.
+                // Jittered interval in [0.5, 1.0) × heartbeat_ms.
                 let beat = Duration::from_millis(ticket.heartbeat_ms)
                     .mul_f64(0.5 + 0.5 * rng.gen::<f64>());
-                while waited < beat {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let slice = Duration::from_millis(10).min(beat - waited);
-                    std::thread::sleep(slice);
-                    waited += slice;
+                if capture_ended.recv_timeout(beat) != Err(RecvTimeoutError::Timeout) {
+                    return;
                 }
-                waited = Duration::ZERO;
                 match send_heartbeat(
                     &cfg.addr,
                     &cfg.retry,
@@ -1298,7 +1264,7 @@ where
             }
         });
         let out = capture(ticket, &journal, limit);
-        stop.store(true, Ordering::SeqCst);
+        drop(done);
         out
     });
     captured.map_err(|e| ServiceFault::Unavailable {

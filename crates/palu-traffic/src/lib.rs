@@ -46,6 +46,8 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
+/// The one blocking accept loop behind the service and dispatcher servers.
+mod accept;
 /// Deterministic keyed address anonymization (CryptoPAn-style prefix preservation).
 pub mod anonymize;
 /// Resource-budget governor: admission control, backpressure, and

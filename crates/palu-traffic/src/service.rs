@@ -36,6 +36,7 @@
 //! `tests/service.rs` drives the full protocol over in-memory
 //! buffers, byte by byte, with no sockets involved.
 
+use crate::accept;
 use crate::federation::{self, FederationError, ShardPlan, ShardRange};
 use crate::journal::{self, Journal, JournalFault, JournalHeader, WindowEntry};
 use crate::metrics::Metrics;
@@ -717,12 +718,12 @@ impl Collector {
     }
 }
 
-/// The TCP face of the service: a nonblocking accept loop spawning
-/// one handler thread per connection, polling the collector's
-/// draining flag so a `Shutdown` frame (or a caller-side stop) drains
-/// gracefully — in-flight sessions are joined, and since every
-/// accepted record was already journal-appended, nothing is lost even
-/// on SIGKILL instead.
+/// The TCP face of the service: the shared blocking accept loop
+/// (`accept.rs`) spawning one handler thread per connection. The loop
+/// re-checks the collector's draining flag as each session ends, so a
+/// `Shutdown` frame drains at once — in-flight sessions are joined,
+/// and since every accepted record was already journal-appended,
+/// nothing is lost even on SIGKILL instead.
 pub struct Server {
     listener: TcpListener,
     collector: Collector,
@@ -765,40 +766,19 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServiceFault::Io`] when the listener cannot be made
-    /// nonblocking.
+    /// [`ServiceFault::Io`] when the listener cannot report its address
+    /// or the accept thread cannot be started.
     pub fn run(self) -> Result<ServiceReport, ServiceFault> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| ServiceFault::Io {
-                detail: e.to_string(),
-            })?;
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        loop {
-            if self.collector.draining() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_read_timeout(Some(self.collector.config().read_timeout));
-                    let collector = self.collector.clone();
-                    handles.push(std::thread::spawn(move || {
-                        let mut stream = stream;
-                        let _ = collector.handle(&mut stream);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
+        let collector = self.collector.clone();
+        accept::serve(
+            self.listener,
+            self.collector.config().read_timeout,
+            None,
+            move |stream| {
+                let _ = collector.handle(stream);
+            },
+            || self.collector.draining(),
+        )?;
         Ok(self.collector.report())
     }
 }
@@ -970,11 +950,24 @@ fn try_submit_once(
         sent += 1;
     }
     write_frame(&mut stream, &WireMessage::SubmitEnd { sent }.encode())?;
-    match read_reply(&mut stream)? {
-        WireMessage::EndAck { accepted, missing } => Ok((accepted, missing, skipped)),
-        other => Err(ServiceFault::Protocol {
+    match read_reply(&mut stream) {
+        Ok(WireMessage::EndAck { accepted, missing }) => Ok((accepted, missing, skipped)),
+        Ok(other) => Err(ServiceFault::Protocol {
             detail: format!("expected EndAck, got {}", frame_name(&other)),
         }),
+        // With the identity header dropped in transit, the server refuses
+        // the records behind it. That refusal is this session's injected
+        // loss, not a client bug: retry, and the next attempt resends the
+        // header. (Whether the refusal arrives, or a reset first, depends
+        // only on timing.)
+        Err(ServiceFault::Remote { message, .. })
+            if injector.plan(0, attempt) == Some(crate::wire::WireFault::Drop) =>
+        {
+            Err(ServiceFault::Unavailable {
+                detail: format!("identity header dropped in transit; server: {message}"),
+            })
+        }
+        Err(fault) => Err(fault),
     }
 }
 

@@ -21,6 +21,9 @@
 //!    fencing all surface as typed `DispatchFault`s riding the
 //!    existing `FaultReport` taxonomy (kind codes 10–14), in the
 //!    dispatcher's own report, never the merged capture's.
+//! 4. **Exits need no further connection** — a non-linger dispatcher
+//!    returns as soon as its plan completes, and the stop handle ends
+//!    `run` without draining or joining in-flight sessions.
 
 use palu_suite::prelude::*;
 
@@ -28,7 +31,9 @@ use palu_traffic::observatory::ObservatoryConfig;
 use palu_traffic::packets::EdgeIntensity;
 use palu_traffic::pipeline::{FaultTolerantPool, Measurement};
 use palu_traffic::service::{query_fit, request_shutdown, Collector, RetryPolicy, ServiceConfig};
-use palu_traffic::wire::{FitSnapshot, ServiceFault, WireInjector, WireSpec};
+use palu_traffic::wire::{
+    read_frame, write_frame, FitSnapshot, ServiceFault, WireInjector, WireMessage, WireSpec,
+};
 use palu_traffic::{
     request_lease, resume_zombie, run_worker, DispatchConfig, DispatchReport, DispatchServer,
     Dispatcher, FailurePolicy, FaultKind, FederationError, InjectionSpec, Injector, JournalHeader,
@@ -37,7 +42,7 @@ use palu_traffic::{
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const WINDOWS: usize = 16;
 const N_V: u64 = 200;
@@ -505,5 +510,65 @@ fn fenced_zombie_is_typed_and_never_changes_coverage() {
             .any(|r| r.kind == FaultKind::LeaseFenced),
         "fencing rides the fault taxonomy"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Wait for `handle` at most `limit`, failing the test on a hang.
+fn join_within<T>(handle: std::thread::JoinHandle<T>, limit: Duration, what: &str) -> T {
+    let start = Instant::now();
+    while !handle.is_finished() {
+        assert!(
+            start.elapsed() < limit,
+            "{what}: still running after {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    handle.join().expect("dispatcher thread")
+}
+
+#[test]
+fn non_linger_dispatcher_returns_once_the_plan_completes() {
+    let gen = generator();
+    let dir = temp_dir("non-linger-exit");
+    let (addr, _stop, handle) = start_dispatcher(dir.join("server"), 2, dispatch_config(false));
+    let worker = serve_until_complete(&gen, &worker_config(&addr, 0, &dir), None)
+        .expect("worker completes the plan");
+    assert_eq!(worker.completed.len(), 2, "one worker did every range");
+    // The worker's last exchange was its final submission's session
+    // and WorkDone; the end of those sessions alone must end `run`.
+    let report =
+        join_within(handle, Duration::from_secs(1), "non-linger exit").expect("dispatcher reports");
+    assert_eq!(report.shards_done, 2);
+    assert!(!report.stalled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stop_handle_ends_run_without_a_connection_or_joining_live_sessions() {
+    let dir = temp_dir("stop-handle");
+    let (addr, stop, handle) = start_dispatcher(dir.join("server"), 2, dispatch_config(true));
+    // A live lease session: one request answered, then the connection
+    // stays open and silent, so its handler blocks in a read for the
+    // 5 s read timeout.
+    let mut session = std::net::TcpStream::connect(&addr).expect("connect");
+    write_frame(
+        &mut session,
+        &WireMessage::LeaseRequest { worker: 3 }.encode(),
+    )
+    .expect("lease request");
+    let reply = read_frame(&mut session)
+        .expect("reply frame")
+        .expect("dispatcher answered");
+    assert!(matches!(
+        WireMessage::decode(&reply),
+        Ok(WireMessage::LeaseGrant(LeaseOffer::Granted(_)))
+    ));
+    // The in-process SIGKILL: no frame, no connection — just the flag.
+    stop.store(true, Ordering::SeqCst);
+    let report = join_within(handle, Duration::from_secs(2), "stopped dispatcher")
+        .expect("stopped dispatcher reports");
+    assert_eq!(report.shards_done, 0);
+    assert_eq!(report.leases_granted, 1);
+    drop(session);
     let _ = std::fs::remove_dir_all(&dir);
 }
