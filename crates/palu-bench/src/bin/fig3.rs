@@ -15,7 +15,7 @@ use palu_cli::json::JsonValue;
 use palu_sparse::parallel::default_threads;
 use palu_traffic::metrics::Metrics;
 use palu_traffic::pipeline::{Measurement, Pipeline};
-use palu_traffic::MetricsSnapshot;
+use palu_traffic::{FailurePolicy, MetricsSnapshot};
 use std::time::Instant;
 
 struct Panel {
@@ -43,13 +43,19 @@ fn run_panel(scenario: &Scenario, seed: u64) -> Panel {
     // the metrics snapshot.
     let pipeline_metrics = Metrics::new();
     let t0 = Instant::now();
-    let pooled = Pipeline::pool_observatory_parallel(
+    let pooled = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         scenario.windows,
         default_threads(),
         Some(&pipeline_metrics),
-    );
+        &FailurePolicy::strict(),
+        None,
+        None,
+        None,
+    )
+    .expect("clean capture")
+    .pooled;
     let wall_s = t0.elapsed().as_secs_f64();
 
     let fit = ZmFitter::with_objective(FitObjective::LeastSquares)

@@ -1,7 +1,7 @@
 //! E-PIPE — parallel pipeline determinism, throughput, and scaling.
 //!
 //! The sharded multi-window pipeline's hard contract: for any thread
-//! count, `Pipeline::pool_observatory_parallel` produces a pooled
+//! count, `Pipeline::pool_observatory_durable` produces a pooled
 //! `D(d_i) ± σ(d_i)` **bit-identical** to the serial fold. This binary
 //! checks that contract at 1, 2, and 8 threads on a 64-window workload
 //! and records `BENCH_pipeline.json` with the per-stage wall-times,
@@ -22,7 +22,7 @@ use palu_cli::commands::metrics_json;
 use palu_cli::json::JsonValue;
 use palu_traffic::metrics::Metrics;
 use palu_traffic::pipeline::{Measurement, Pipeline, PooledDistribution};
-use palu_traffic::MetricsSnapshot;
+use palu_traffic::{FailurePolicy, MetricsSnapshot};
 use std::time::Instant;
 
 const WINDOWS: usize = 64;
@@ -56,13 +56,19 @@ fn run(threads: usize) -> (PooledDistribution, f64, MetricsSnapshot) {
     let mut obs = scenario.observatory(SEED);
     let metrics = Metrics::new();
     let t0 = Instant::now();
-    let pooled = Pipeline::pool_observatory_parallel(
+    let pooled = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         WINDOWS,
         threads,
         Some(&metrics),
-    );
+        &FailurePolicy::strict(),
+        None,
+        None,
+        None,
+    )
+    .expect("clean capture")
+    .pooled;
     (pooled, t0.elapsed().as_secs_f64(), metrics.snapshot())
 }
 

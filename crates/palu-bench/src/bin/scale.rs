@@ -16,7 +16,7 @@ use palu_sparse::parallel::{build_csr_parallel, default_threads, quantities_para
 use palu_sparse::quantities::QuantityHistograms;
 use palu_traffic::metrics::Metrics;
 use palu_traffic::pipeline::{Measurement, Pipeline, PooledDistribution};
-use palu_traffic::MetricsSnapshot;
+use palu_traffic::{FailurePolicy, MetricsSnapshot};
 use std::time::Instant;
 
 /// Run the full multi-window pipeline (synthesize → window → histogram
@@ -34,13 +34,19 @@ fn run_pipeline(windows: usize, threads: usize) -> (PooledDistribution, f64, Met
     let mut obs = scenario.observatory(20260807);
     let metrics = Metrics::new();
     let t0 = Instant::now();
-    let pooled = Pipeline::pool_observatory_parallel(
+    let pooled = Pipeline::pool_observatory_durable(
         Measurement::UndirectedDegree,
         &mut obs,
         windows,
         threads,
         Some(&metrics),
-    );
+        &FailurePolicy::strict(),
+        None,
+        None,
+        None,
+    )
+    .expect("clean capture")
+    .pooled;
     (pooled, t0.elapsed().as_secs_f64(), metrics.snapshot())
 }
 

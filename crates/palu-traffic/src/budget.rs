@@ -14,12 +14,12 @@
 //!    typed [`BudgetFault::AdmissionRefused`] carrying the estimate
 //!    and, where one exists, a [`SuggestedConfig`] that fits.
 //! 2. **Backpressure.** A [`ResourceBudget`] tracks accounted bytes;
-//!    the governed engine acquires each batch's transient footprint at
+//!    the capture engine acquires each batch's transient footprint at
 //!    window boundaries, so a soft-watermark breach deterministically
 //!    reduces the number of in-flight windows. Decisions are keyed
 //!    only to accounted bytes at those boundaries — reruns at a fixed
 //!    budget reproduce the same schedule, and the pooled output is
-//!    bit-identical to the ungoverned run (the merge stays strictly
+//!    bit-identical to an unbudgeted run (the merge stays strictly
 //!    window-ordered regardless of batching).
 //! 3. **Graceful degradation.** An ordered [`DegradationRung`] ladder
 //!    — coarsen log-binning, shrink the worker count, spill pooled
@@ -163,7 +163,7 @@ impl ResourceBudget {
     }
 }
 
-/// How the governed engine treats a configured budget.
+/// How the capture engine treats a configured budget.
 #[derive(Debug, Clone, Copy)]
 pub struct Governor<'a> {
     /// The ledger every acquisition goes through.

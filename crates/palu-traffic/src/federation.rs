@@ -477,7 +477,7 @@ pub struct FederatedMerge {
 }
 
 /// Run one shard of a federated capture: seek the observatory to the
-/// shard's range and drive the ordinary durable/governed engine over
+/// shard's range and drive the ordinary capture engine over
 /// exactly that range. Window indices are *absolute*, so the shard's
 /// journal carries the same header identity as a single-process
 /// capture and a 1-shard capture is byte-compatible with `simulate`.

@@ -6,8 +6,12 @@
 //! *resumable*: every completed window's pooled state is appended to
 //! an on-disk journal as a length-prefixed, CRC32-checksummed record,
 //! and [`Journal::resume`] reconstructs exactly the completed set so
-//! [`crate::pipeline::Pipeline::pool_observatory_durable`] recomputes
-//! only the missing windows.
+//! the capture engine
+//! ([`crate::pipeline::Pipeline::pool_observatory_governed`]) recomputes
+//! only the missing windows. The engine's executor appends each window
+//! from the worker that computed it, the moment it completes, in
+//! completion order; recovery keys windows by index, so the order of
+//! records in the file carries no meaning.
 //!
 //! ## Wire format
 //!

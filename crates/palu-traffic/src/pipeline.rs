@@ -6,13 +6,11 @@
 //! data set are denoted `D(d_i)` and `σ(d_i)`". Every Figure 3 panel is
 //! one [`PooledDistribution`] produced by this pipeline.
 //!
-//! Windows ARE processed in parallel here —
-//! [`Pipeline::pool_observatory_parallel`] shards the expensive
-//! synthesize → window → histogram → bin stages across
-//! `std::thread::scope` workers, one contiguous batch of windows per
-//! worker, with each window drawing from its own splittable RNG stream
-//! ([`palu_stats::rng::SeedSequence::window_rng`]). The per-window
-//! [`BinStats`] results are then merged on the calling thread
+//! One capture engine, [`Pipeline::pool_observatory_governed`], runs
+//! the expensive synthesize → window → histogram → bin stages on one
+//! work-stealing executor, each window drawing from its own splittable
+//! RNG stream ([`palu_stats::rng::SeedSequence::window_rng`]). The
+//! per-window [`BinStats`] results are merged on the calling thread
 //! *deterministically in window order* via `BinStats::merge` (whose
 //! single-window path replays the exact float-op sequence of a serial
 //! push), so the pooled result is **bit-identical** to the serial fold
@@ -181,7 +179,7 @@ impl Pipeline {
     /// Fold in one window's already-binned distribution `D_t(d_i)`
     /// plus that window's largest observed degree.
     /// [`Pipeline::push_window`] is exactly `push_binned` of the
-    /// window's own histogram; the parallel pipeline bins on worker
+    /// window's own histogram; the capture engine bins on worker
     /// threads and replays this fold in window order, which is why its
     /// output is bit-identical to the serial path.
     pub fn push_binned(&mut self, binned: &DifferentialCumulative, d_max: Option<u64>) {
@@ -244,130 +242,7 @@ impl Pipeline {
         results
     }
 
-    /// Pool the next `n` consecutive windows of `obs` with the
-    /// synthesize → window → histogram → bin stages sharded across
-    /// `threads` scoped workers (one contiguous batch of windows per
-    /// worker). Worker count is clamped to `[1, n]`.
-    ///
-    /// Each window draws from its own splittable RNG stream
-    /// ([`palu_stats::rng::SeedSequence::window_rng`]), and the
-    /// per-window binned results are merged on the calling thread in
-    /// window order through [`BinStats::merge`], whose single-window
-    /// path replays the exact float-op sequence of a serial
-    /// [`Pipeline::push_window`]. The result is therefore
-    /// **bit-identical** to [`Pipeline::pool`] over
-    /// [`Observatory::windows`] for *any* thread count — the contract
-    /// pinned by `parallel_pool_bit_identical_to_serial` here and by
-    /// `tests/parallel_pipeline.rs` at the workspace level. The
-    /// observatory's window counter advances exactly as if the windows
-    /// had been captured serially.
-    ///
-    /// `metrics`, when supplied, accumulates per-stage wall-times
-    /// (summed across workers) and packet/window/thread counters.
-    pub fn pool_observatory_parallel(
-        measurement: Measurement,
-        obs: &mut Observatory,
-        n: usize,
-        threads: usize,
-        metrics: Option<&Metrics>,
-    ) -> PooledDistribution {
-        match Pipeline::pool_observatory_checked(
-            measurement,
-            obs,
-            n,
-            threads,
-            metrics,
-            &FailurePolicy::strict(),
-            None,
-        ) {
-            Ok(ft) => ft.pooled,
-            // Legacy contract: n = 0 silently pooled zero windows.
-            Err(PipelineError::ZeroWindows) => Pipeline::new(measurement).finish(),
-            Err(e) => panic!("pipeline failure: {e}"),
-        }
-    }
-
-    /// The fault-tolerant engine behind
-    /// [`Pipeline::pool_observatory_parallel`] (DESIGN.md §4e).
-    ///
-    /// Each window's synthesize → window → histogram → bin stage runs
-    /// isolated on its worker: panics are contained with
-    /// `catch_unwind`, typed [`WindowFault`]s are captured, and a
-    /// failed window is retried up to `policy.max_retries` times —
-    /// retry `k` of window `t` always draws from the same derived seed
-    /// ([`Observatory::packets_at_retry`]), so recovery is replayable
-    /// for any thread count. A window that exhausts its budget is
-    /// disposed of per `policy.on_fault`: abort the run, quarantine
-    /// (drop) the window, or substitute one clean re-synthesis.
-    ///
-    /// The surviving windows merge on the calling thread strictly in
-    /// window order, so the pooled result over the survivors is
-    /// **bit-identical** across thread counts and reruns; with no
-    /// injector and no faults it is byte-identical to
-    /// [`Pipeline::pool_observatory_parallel`]'s pre-fault-tolerance
-    /// output.
-    ///
-    /// `injector`, when supplied, deterministically plants faults per
-    /// its [`crate::fault::InjectionSpec`] — the fault-injection
-    /// harness that exercises this machinery in tests and CI.
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineError::ZeroWindows`] when `n == 0`;
-    /// [`PipelineError::WindowAborted`] under [`FaultAction::Abort`];
-    /// [`PipelineError::QuarantineOverflow`] when the quarantined
-    /// fraction exceeds `policy.quarantine_threshold`.
-    pub fn pool_observatory_checked(
-        measurement: Measurement,
-        obs: &mut Observatory,
-        n: usize,
-        threads: usize,
-        metrics: Option<&Metrics>,
-        policy: &FailurePolicy,
-        injector: Option<&Injector>,
-    ) -> Result<FaultTolerantPool, PipelineError> {
-        Pipeline::pool_engine(
-            measurement,
-            obs,
-            n,
-            threads,
-            metrics,
-            policy,
-            injector,
-            None,
-            None,
-            None,
-        )
-    }
-
-    /// [`Pipeline::pool_observatory_checked`] with durable
-    /// checkpoint/resume (DESIGN.md §4f).
-    ///
-    /// With `journal` supplied, every finished window (recovered,
-    /// quarantined, or clean — everything except an abort) is appended
-    /// to the write-ahead journal as it completes, so a killed process
-    /// loses at most the windows in flight. With `recovery` supplied
-    /// (from [`Journal::resume`]), journaled windows are *replayed*
-    /// instead of recomputed: their byte-exact [`BinStats`]/histogram
-    /// state drops straight into the window-ordered merge.
-    ///
-    /// **Crash equivalence.** The resumed pooled result is
-    /// bit-identical to an uninterrupted run at any thread count and
-    /// any kill point, because (a) per-window RNG streams are
-    /// splittable by `(window, attempt)`, so recomputed windows do not
-    /// depend on which windows were replayed, (b) the journal stores
-    /// window state as raw IEEE-754 bits, and (c) the merge is
-    /// strictly window-ordered on one thread. The one exception is
-    /// documented: stall verdicts depend on the wall clock, so a
-    /// watchdog-armed run is only crash-equivalent when no stall fires
-    /// (an injected [`InjectedFault::Stall`] is deterministic in
-    /// *which* windows it delays, keeping the CI smoke reproducible).
-    ///
-    /// # Errors
-    ///
-    /// Those of [`Pipeline::pool_observatory_checked`], plus
-    /// [`PipelineError::Journal`] when an append fails — the capture
-    /// never silently continues without durability.
+    /// [`Pipeline::pool_observatory_governed`] with no budget.
     #[allow(clippy::too_many_arguments)]
     pub fn pool_observatory_durable(
         measurement: Measurement,
@@ -380,7 +255,7 @@ impl Pipeline {
         journal: Option<&Journal>,
         recovery: Option<&Recovery>,
     ) -> Result<FaultTolerantPool, PipelineError> {
-        Pipeline::pool_engine(
+        Pipeline::pool_observatory_governed(
             measurement,
             obs,
             n,
@@ -394,72 +269,70 @@ impl Pipeline {
         )
     }
 
-    /// [`Pipeline::pool_observatory_durable`] under a resource-budget
-    /// [`Governor`] (DESIGN.md §4g) — the full engine surface.
+    /// The capture engine: pool the next `n` consecutive windows of
+    /// `obs` with the synthesize → window → histogram → bin stages run
+    /// on up to `threads` workers (DESIGN.md §4d–§4g).
     ///
-    /// With `governor` supplied the engine runs *governed*: admission
-    /// control projects the peak accounted footprint from the window
-    /// geometry before any window is synthesized (refusing infeasible
-    /// configurations with [`BudgetFault::AdmissionRefused`]
-    /// (crate::budget::BudgetFault)), every batch of in-flight windows
-    /// acquires its projected transient footprint from the budget
-    /// ledger, and soft-watermark breaches engage the
-    /// [`DegradationRung`] ladder — coarsen the merged histogram's
-    /// log-binning, shrink the in-flight width, spill completed slots
-    /// into the merge — each engagement recorded as a typed
-    /// [`DegradationEvent`] in the report. A hard-watermark breach that
-    /// survives draining everything drainable aborts the capture with
-    /// a clean typed [`PipelineError::Budget`], never an OOM kill.
+    /// **Determinism.** Each window draws from its own splittable RNG
+    /// stream ([`palu_stats::rng::SeedSequence::window_rng`]) and the
+    /// per-window results merge on the calling thread strictly in
+    /// window order through [`BinStats::merge`], whose single-window
+    /// path replays the float-op sequence of a serial
+    /// [`Pipeline::push_window`]. The pooled result is therefore
+    /// **bit-identical** to [`Pipeline::pool`] over
+    /// [`Observatory::windows`] for any thread count and any budget,
+    /// and the observatory's window counter advances as if the windows
+    /// had been captured serially.
     ///
-    /// **Determinism.** The ledger is touched only by the coordinating
-    /// thread at window boundaries, so rung engagement is a pure
-    /// function of `(configuration, budget, threads)` — reruns at a
-    /// fixed budget reproduce the same schedule and the same events.
-    /// The merge stays strictly window-ordered regardless of batching,
-    /// and the pooled `BinStats` is never coarsened, so the *pooled*
-    /// distribution is bit-identical across thread counts even when
-    /// the rung history differs — and bit-identical to the ungoverned
-    /// engine whenever the budget is ample (or `governor` is `None`,
-    /// which routes to the ungoverned engine unchanged).
+    /// **Fault tolerance (§4e).** Each window runs isolated on its
+    /// worker: panics are contained with `catch_unwind`, typed
+    /// [`WindowFault`]s are captured, and a failed window is retried up
+    /// to `policy.max_retries` times — retry `k` of window `t` always
+    /// draws from the same derived seed
+    /// ([`Observatory::packets_at_retry`]). A window that exhausts its
+    /// retries is aborted, quarantined or substituted per
+    /// `policy.on_fault`. `injector`, when supplied, deterministically
+    /// plants faults per its [`crate::fault::InjectionSpec`].
+    ///
+    /// **Durability (§4f).** With `journal` supplied every finished
+    /// window except an abort is appended as it completes, so a killed
+    /// process loses at most the windows in flight. With `recovery`
+    /// supplied (from [`Journal::resume`]) journaled windows are
+    /// replayed byte-exactly instead of recomputed, so a resumed
+    /// capture is bit-identical to an uninterrupted one at any thread
+    /// count and any kill point. Stall verdicts read the wall clock, so
+    /// a watchdog-armed run is only crash-equivalent when no stall
+    /// fires.
+    ///
+    /// **Budget (§4g).** `governor: None` is a governor over
+    /// [`ResourceBudget::unbounded`]: the ledger runs, nothing trips.
+    /// Admission control projects the peak accounted footprint before
+    /// any window is synthesized and refuses an infeasible capture
+    /// with [`BudgetFault::AdmissionRefused`](crate::budget::BudgetFault).
+    /// Every batch of in-flight windows acquires its projected
+    /// transient footprint, and soft-watermark breaches engage the
+    /// [`DegradationRung`] ladder, each engagement recorded as a typed
+    /// [`DegradationEvent`]. A hard-watermark breach that survives
+    /// draining aborts with [`PipelineError::Budget`], never an OOM
+    /// kill. The ledger is touched only by the calling thread at window
+    /// boundaries, so the schedule and every event are a pure function
+    /// of `(configuration, budget, threads)`.
+    ///
+    /// `metrics`, when supplied, accumulates per-stage wall-times
+    /// (summed across workers) and packet/window/thread counters.
     ///
     /// # Errors
     ///
-    /// Those of [`Pipeline::pool_observatory_durable`], plus
+    /// [`PipelineError::ZeroWindows`] when `n == 0`;
+    /// [`PipelineError::WindowAborted`] under [`FaultAction::Abort`];
+    /// [`PipelineError::QuarantineOverflow`] when the quarantined
+    /// fraction exceeds `policy.quarantine_threshold`;
+    /// [`PipelineError::Journal`] when an append fails;
     /// [`PipelineError::Budget`] on admission refusal or a hard
     /// watermark breach.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pool_observatory_governed(
-        measurement: Measurement,
-        obs: &mut Observatory,
-        n: usize,
-        threads: usize,
-        metrics: Option<&Metrics>,
-        policy: &FailurePolicy,
-        injector: Option<&Injector>,
-        journal: Option<&Journal>,
-        recovery: Option<&Recovery>,
-        governor: Option<&Governor<'_>>,
-    ) -> Result<FaultTolerantPool, PipelineError> {
-        Pipeline::pool_engine(
-            measurement,
-            obs,
-            n,
-            threads,
-            metrics,
-            policy,
-            injector,
-            journal,
-            recovery,
-            governor,
-        )
-    }
-
-    /// The engine behind the checked entry points; `journal` and
-    /// `recovery` are `None` on the non-durable path, `governor` is
-    /// `None` everywhere except [`Pipeline::pool_observatory_governed`].
     // lint:hot
     #[allow(clippy::too_many_arguments)]
-    fn pool_engine(
+    pub fn pool_observatory_governed(
         measurement: Measurement,
         obs: &mut Observatory,
         n: usize,
@@ -479,38 +352,43 @@ impl Pipeline {
         // influences a numerical result. lint:allow(R2)
         let capture_start = std::time::Instant::now();
         let threads = threads.clamp(1, n);
-        // Admission control (DESIGN.md §4g): project the peak
-        // accounted footprint from the window geometry and refuse an
-        // infeasible capture *before* the observatory advances or any
-        // window is synthesized.
-        let model = governor.map(|_| CostModel {
+        let unbounded = ResourceBudget::unbounded();
+        let gov = governor.copied().unwrap_or(Governor {
+            budget: &unbounded,
+            strict_admission: false,
+        });
+        let budget = gov.budget;
+        // Admission control: refuse an infeasible capture *before* the
+        // observatory advances or any window is synthesized.
+        let model = CostModel {
             n_v: obs.config().n_v,
             n_nodes: obs.underlying().n_nodes() as u64,
             windows: n as u64,
             threads: threads as u64,
-        });
-        if let (Some(gov), Some(model)) = (governor, &model) {
-            let estimate = model
-                .admit(gov.budget, gov.strict_admission)
-                .map_err(PipelineError::Budget)?;
-            if let Some(m) = metrics {
-                m.set_admission_estimate_bytes(estimate);
-            }
-        }
+        };
+        let estimate = model
+            .admit(budget, gov.strict_admission)
+            .map_err(PipelineError::Budget)?;
         let start_t = obs.advance(n);
         if let Some(m) = metrics {
+            m.set_admission_estimate_bytes(estimate);
             m.set_threads(threads as u64);
             m.add_windows(n as u64);
         }
-        // One slot per window: workers fill the expensive per-window
-        // results; the merge below reads them in window order.
-        let mut slots: Vec<Option<WindowSlot>> = (0..n).map(|_| None).collect();
+        let mut pending = Pending {
+            acc: MergeAcc::new(measurement, n),
+            slots: (0..n).map(|_| None).collect(),
+            retained: vec![0u64; n],
+            next_merge: 0,
+            budget,
+            metrics,
+        };
         // Replay journaled windows up front: their slots are filled
-        // from the recovered byte-exact state, and the workers below
-        // skip them, computing only the complement.
+        // from the recovered byte-exact state, and only the complement
+        // is computed.
         if let Some(rec) = recovery {
             let mut replayed = 0u64;
-            for (i, slot) in slots.iter_mut().enumerate() {
+            for (i, slot) in pending.slots.iter_mut().enumerate() {
                 if let Some(entry) = rec.windows.get(&(start_t + i as u64)) {
                     *slot = Some(WindowSlot::from_entry(entry));
                     replayed += 1;
@@ -522,133 +400,145 @@ impl Pipeline {
                 m.add_journal_torn_dropped(rec.torn_records_dropped);
             }
         }
-        // A configured budget routes to the governed engine; `None`
-        // keeps the ungoverned path below byte-for-byte as before.
-        if let (Some(gov), Some(model)) = (governor, model.as_ref()) {
-            return governed_capture(
-                measurement,
-                obs,
-                n,
-                start_t,
-                threads,
-                metrics,
-                policy,
-                injector,
-                journal,
-                slots,
-                gov,
-                model,
-                capture_start,
-            );
+        // Account replayed slots before computing anything: a resume
+        // of a huge journal under a tight budget must degrade (or abort
+        // cleanly) exactly like a live capture would.
+        for b in 0..n {
+            pending.retain(b, start_t + b as u64)?;
         }
-        // Work-stealing schedule: the windows still to compute (journal
-        // replays excluded) form a shared queue drained through an
-        // atomic cursor. Each worker owns one long-lived
-        // [`WorkerArena`] and claims the next window the moment it
-        // finishes one, so an expensive window (retries, a stall, a
-        // fault plan) never idles the rest of the pool the way the
-        // historical contiguous-chunk split did. Scheduling freedom is
-        // safe because each window's outcome is pure in `t` and the
-        // merge below is strictly window-ordered — which is also why
-        // the worker count can be capped at the machine's effective
-        // parallelism without changing any output: oversubscribed
-        // workers on a small host only add context-switch and arena
-        // cost (the historical engine spawned all of them and ran
-        // *slower* than serial). The floor of 2 keeps genuinely
-        // concurrent execution even on a single-core host so
-        // scheduling-sensitive contracts stay exercised. The governed
-        // engine is exempt: its batch width is part of the
-        // deterministic `(configuration, budget, threads)` ledger
-        // schedule and must not depend on the machine.
+        // Batch width. A budget with neither watermark can never trip,
+        // so its whole to-do list is one batch: batching it at
+        // `threads` would only add joins (DESIGN.md §4g measures the
+        // cost). A watermarked budget starts `threads` wide and halves
+        // on `ShrinkWorkers` — part of the deterministic ledger
+        // schedule, independent of the worker count below.
+        let mut width = if budget.soft().is_none() && budget.hard().is_none() {
+            n
+        } else {
+            threads
+        };
+        let mut engaged = 0usize;
+        if budget.soft_breached() {
+            pending.checkpoint(start_t, &mut width, &mut engaged);
+        }
+        // Workers are capped at the machine's effective parallelism:
+        // oversubscribed workers only add context-switch and arena
+        // cost, and the window-ordered merge makes the count invisible
+        // in the output. The floor of 2 keeps execution concurrent on a
+        // one-core host so scheduling-sensitive contracts stay
+        // exercised. One arena per worker, hoisted across batches.
         let workers = threads.min(
             std::thread::available_parallelism()
                 .map(|p| p.get().max(2))
                 .unwrap_or(threads),
         );
-        let todo: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let cursor = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let todo = &todo;
-                    let obs = &*obs;
-                    s.spawn(move || {
-                        // Arena and result list live for the worker's
-                        // whole lifetime — one allocation set per
-                        // worker, not per window. lint:allow(R10)
-                        let mut out: Vec<(usize, WindowSlot)> = Vec::new();
-                        let mut arena = WorkerArena::new();
-                        loop {
-                            let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(&i) = todo.get(k) else { break };
-                            let t = start_t + i as u64;
-                            let computed = process_window(
-                                measurement,
-                                obs,
-                                t,
-                                metrics,
-                                policy,
-                                injector,
-                                &mut arena,
-                            );
-                            if let Some(j) = journal {
-                                // Aborted windows are never journaled:
-                                // the run fails, and a resume must
-                                // recompute the window to reach the
-                                // same verdict. Append errors are
-                                // latched inside the journal and
-                                // surfaced after the scope joins.
-                                if computed.abort_fault.is_none() {
-                                    let _ = j.append(&computed.to_entry(t));
-                                }
-                            }
-                            out.push((i, computed));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                let out = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                for (i, computed) in out {
-                    if let Some(slot) = slots.get_mut(i) {
-                        *slot = Some(computed);
-                    }
+        let mut arenas: Vec<WorkerArena> = (0..workers).map(|_| WorkerArena::new()).collect();
+        let capture = Capture {
+            measurement,
+            obs: &*obs,
+            start_t,
+            metrics,
+            policy,
+            injector,
+            journal,
+        };
+        let window_bytes = model.window_bytes();
+        let mut merged_accounted = 0u64;
+        let mut i = 0usize;
+        // Reused across batches: cleared, capacity kept.
+        let mut batch: Vec<usize> = Vec::new();
+        while i < n {
+            // The next batch: up to `width` not-yet-computed windows
+            // (replayed slots are skipped — already accounted).
+            batch.clear();
+            batch.extend(
+                (i..n)
+                    .filter(|&b| matches!(pending.slots.get(b), Some(None)))
+                    .take(width),
+            );
+            i = batch.last().map_or(n, |&b| b + 1);
+            let Some(&first) = batch.first() else {
+                continue;
+            };
+            let t0 = start_t + first as u64;
+            // Acquire the batch's projected transient footprint up
+            // front. A ballast-injected window accounts for extra
+            // multiples of the window footprint — simulated memory
+            // pressure that exercises the ladder without allocating.
+            // Under hard pressure the batch *shrinks* instead of
+            // aborting: admission guaranteed one window at a time fits,
+            // so only an overcommitted ledger (e.g. a replay-heavy
+            // resume) can still abort here.
+            let transient = loop {
+                let mut transient = 0u64;
+                for &b in &batch {
+                    let mult = match injector.and_then(|inj| inj.plan(start_t + b as u64, 0)) {
+                        Some(InjectedFault::Ballast) => 1 + BALLAST_WINDOW_MULTIPLIER,
+                        _ => 1,
+                    };
+                    transient = transient.saturating_add(window_bytes.saturating_mul(mult));
                 }
-            }
-        });
-        if let Some(j) = journal {
-            if let Some(fault) = j.take_fault() {
+                match pending.acquire(transient, t0) {
+                    Ok(()) => break transient,
+                    // Backpressure: defer the batch's tail window to a
+                    // later batch and retry with fewer in flight.
+                    Err(_) if batch.len() > 1 => {
+                        if let Some(popped) = batch.pop() {
+                            i = popped;
+                        }
+                    }
+                    Err(e) => return Err(e),
+                }
+            };
+            execute(&capture, &batch, &mut arenas, &mut pending.slots);
+            if let Some(fault) = journal.and_then(Journal::take_fault) {
                 return Err(PipelineError::Journal(fault));
             }
-        }
-        // Deterministic merge: strictly in window order, on one
-        // thread, skipping quarantined windows. The scope above joined
-        // every worker, so each slot is filled.
-        debug_assert!(slots.iter().all(Option::is_some));
-        let mut acc = MergeAcc::new(measurement, n);
-        time_stage(metrics, Stage::Merge, || {
-            for slot in slots.into_iter().flatten() {
-                acc.fold(slot);
+            // Checkpoint while the batch's transient footprint is still
+            // accounted — the soft watermark must see the pressure the
+            // batch actually exerted (transients dominate the retained
+            // state).
+            let t_last = start_t + batch.last().map_or(first, |&b| b) as u64;
+            pending.checkpoint(t_last, &mut width, &mut engaged);
+            budget.release(transient);
+            // Swap the transient footprint for each slot's measured
+            // retained size.
+            for &b in &batch {
+                pending.retain(b, start_t + b as u64)?;
             }
-        });
+            // Re-account the merge-side state the checkpoint and drains
+            // may have grown.
+            let merged_now = pending
+                .acc
+                .merged
+                .approx_bytes()
+                .saturating_add(pending.acc.p.stats.approx_bytes());
+            if merged_now > merged_accounted {
+                pending.acquire(merged_now - merged_accounted, t_last)?;
+            } else {
+                budget.release(merged_accounted - merged_now);
+            }
+            merged_accounted = merged_now;
+            if let Some(m) = metrics {
+                m.record_peak_accounted_bytes(budget.peak());
+            }
+        }
+        // Every slot is filled, so the final drain folds the whole
+        // capture in window order.
+        pending.drain();
+        debug_assert_eq!(pending.next_merge, n);
+        budget.release(merged_accounted);
         if let Some(m) = metrics {
+            m.record_peak_accounted_bytes(budget.peak());
             m.add_capture_wall_ns(
                 u64::try_from(capture_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             );
         }
-        acc.finish(policy, n, metrics)
+        pending.acc.finish(policy, n, metrics)
     }
 }
 
-/// The outcome of a fault-tolerant pipeline run
-/// ([`Pipeline::pool_observatory_checked`]).
+/// The outcome of a capture ([`Pipeline::pool_observatory_governed`]).
 #[derive(Debug, Clone)]
 pub struct FaultTolerantPool {
     /// Pooled `D(d_i) ± σ(d_i)` over the surviving windows.
@@ -722,11 +612,11 @@ impl WindowSlot {
     }
 }
 
-/// The strictly window-ordered merge fold shared by the ungoverned
-/// and governed engines. Folding slots one at a time in window order
-/// replays the exact statement sequence of the historical merge loop,
-/// so both engines produce bit-identical pooled output for the same
-/// slots regardless of how the windows were scheduled.
+/// The strictly window-ordered merge fold shared by the capture engine
+/// and the federation merge. Folding slots one at a time in window
+/// order replays the exact statement sequence of a serial fold, so both
+/// produce bit-identical pooled output for the same slots regardless of
+/// how the windows were scheduled.
 pub(crate) struct MergeAcc {
     p: Pipeline,
     merged: DegreeHistogram,
@@ -834,405 +724,190 @@ fn slot_measured_bytes(slot: &WindowSlot) -> u64 {
     }
 }
 
-/// Fold every contiguous completed slot from the front of the capture
-/// into the merge, releasing its retained bytes. The merge stays
-/// strictly window-ordered: only the prefix up to the first
-/// still-computing window can drain.
-fn drain_prefix(
-    acc: &mut MergeAcc,
-    slots: &mut [Option<WindowSlot>],
-    retained: &mut [u64],
-    next_merge: &mut usize,
-    budget: &ResourceBudget,
-    metrics: Option<&Metrics>,
-) {
-    time_stage(metrics, Stage::Merge, || {
-        while *next_merge < slots.len() {
-            let Some(slot) = slots[*next_merge].take() else {
+/// Completed window slots awaiting the strictly window-ordered merge,
+/// each held in the budget ledger at its measured size until it
+/// drains. Only the calling thread touches it, at window boundaries.
+struct Pending<'a> {
+    acc: MergeAcc,
+    slots: Vec<Option<WindowSlot>>,
+    /// Ledger bytes each retained slot holds.
+    retained: Vec<u64>,
+    /// The first window not yet folded into `acc`.
+    next_merge: usize,
+    budget: &'a ResourceBudget,
+    metrics: Option<&'a Metrics>,
+}
+
+impl Pending<'_> {
+    /// Fold every contiguous completed slot from the front of the
+    /// capture into the merge, releasing its retained bytes. Only the
+    /// prefix up to the first still-computing window can drain.
+    fn drain(&mut self) {
+        time_stage(self.metrics, Stage::Merge, || {
+            while let Some(slot) = self.slots.get_mut(self.next_merge).and_then(Option::take) {
+                self.acc.fold(slot);
+                if let Some(r) = self.retained.get_mut(self.next_merge) {
+                    self.budget.release(std::mem::take(r));
+                }
+                self.next_merge += 1;
+            }
+        });
+    }
+
+    /// Acquire `bytes` from the ledger; on a hard-watermark refusal
+    /// drain the mergeable prefix and retry once. The second refusal
+    /// is final — the typed fault propagates and the capture aborts
+    /// cleanly instead of overcommitting.
+    fn acquire(&mut self, bytes: u64, window: u64) -> Result<(), PipelineError> {
+        if self.budget.try_acquire(bytes, window).is_ok() {
+            return Ok(());
+        }
+        self.drain();
+        self.budget
+            .try_acquire(bytes, window)
+            .map(|_| ())
+            .map_err(PipelineError::Budget)
+    }
+
+    /// Hold slot `b`'s measured bytes until it drains; an empty slot
+    /// holds nothing, and neither does one the fallback drain of
+    /// [`Pending::acquire`] has already folded.
+    fn retain(&mut self, b: usize, window: u64) -> Result<(), PipelineError> {
+        let Some(bytes) = self
+            .slots
+            .get(b)
+            .and_then(Option::as_ref)
+            .map(slot_measured_bytes)
+        else {
+            return Ok(());
+        };
+        self.acquire(bytes, window)?;
+        if self.next_merge > b {
+            self.budget.release(bytes);
+        } else if let Some(r) = self.retained.get_mut(b) {
+            *r = bytes;
+        }
+        Ok(())
+    }
+
+    /// While the soft watermark is breached, engage the next
+    /// [`DegradationRung`] in ladder order (`engaged` counts the rungs
+    /// already engaged), recording each engagement as a typed event.
+    /// Once `SpillPooled`, the last rung, has engaged the capture stays
+    /// in drain mode: every checkpoint folds the completed prefix.
+    fn checkpoint(&mut self, window: u64, width: &mut usize, engaged: &mut usize) {
+        while self.budget.soft_breached() {
+            let Some(&rung) = DegradationRung::ALL.get(*engaged) else {
                 break;
             };
-            acc.fold(slot);
-            budget.release(retained[*next_merge]);
-            retained[*next_merge] = 0;
-            *next_merge += 1;
-        }
-    });
-}
-
-/// Acquire `bytes` from the ledger; on a hard-watermark refusal drain
-/// the mergeable prefix to free retained slots and retry once. The
-/// second refusal is final — the typed fault propagates and the
-/// capture aborts cleanly instead of overcommitting.
-#[allow(clippy::too_many_arguments)]
-fn acquire_with_drain(
-    bytes: u64,
-    window: u64,
-    budget: &ResourceBudget,
-    acc: &mut MergeAcc,
-    slots: &mut [Option<WindowSlot>],
-    retained: &mut [u64],
-    next_merge: &mut usize,
-    metrics: Option<&Metrics>,
-) -> Result<(), PipelineError> {
-    if budget.try_acquire(bytes, window).is_ok() {
-        return Ok(());
-    }
-    drain_prefix(acc, slots, retained, next_merge, budget, metrics);
-    budget
-        .try_acquire(bytes, window)
-        .map(|_| ())
-        .map_err(PipelineError::Budget)
-}
-
-/// While the soft watermark is breached, engage the next un-engaged
-/// [`DegradationRung`] (in ladder order), recording each engagement as
-/// a typed event. Once `SpillPooled` has engaged the capture stays in
-/// drain mode: every checkpoint folds the completed prefix.
-#[allow(clippy::too_many_arguments)]
-fn budget_checkpoint(
-    window: u64,
-    width: &mut usize,
-    engaged: &mut [bool; 3],
-    budget: &ResourceBudget,
-    acc: &mut MergeAcc,
-    slots: &mut [Option<WindowSlot>],
-    retained: &mut [u64],
-    next_merge: &mut usize,
-    metrics: Option<&Metrics>,
-) {
-    while budget.soft_breached() {
-        let Some(pos) = engaged.iter().position(|e| !e) else {
-            break;
-        };
-        engaged[pos] = true;
-        let rung = DegradationRung::ALL[pos];
-        acc.report.degradations.push(DegradationEvent {
-            rung,
-            window,
-            accounted_bytes: budget.accounted(),
-        });
-        if let Some(m) = metrics {
-            m.add_budget_degradation();
-        }
-        match rung {
-            DegradationRung::CoarsenBins => {
-                acc.coarsen = true;
-                acc.merged = coarsen_histogram(&acc.merged);
-                // Coarsen retained, not-yet-drained slot histograms in
-                // place and release the shrinkage. Coarsening commutes
-                // with summation and is idempotent, so the final
-                // merged histogram is independent of *when* this rung
-                // engaged. Journal entries are written before any
-                // checkpoint runs, so the journal always stores the
-                // fine-grained state.
-                for (slot, ret) in slots.iter_mut().zip(retained.iter_mut()) {
-                    if let Some(s) = slot.as_mut() {
-                        if let Some((_, _, h)) = s.result.as_mut() {
-                            *h = coarsen_histogram(h);
-                        }
-                        let now = slot_measured_bytes(s);
-                        if now < *ret {
-                            budget.release(*ret - now);
-                            *ret = now;
+            *engaged += 1;
+            self.acc.report.degradations.push(DegradationEvent {
+                rung,
+                window,
+                accounted_bytes: self.budget.accounted(),
+            });
+            if let Some(m) = self.metrics {
+                m.add_budget_degradation();
+            }
+            match rung {
+                DegradationRung::CoarsenBins => {
+                    self.acc.coarsen = true;
+                    self.acc.merged = coarsen_histogram(&self.acc.merged);
+                    // Coarsen retained, not-yet-drained slot histograms
+                    // in place and release the shrinkage. Coarsening
+                    // commutes with summation and is idempotent, so the
+                    // final merged histogram is independent of *when*
+                    // this rung engaged. Workers journal a window before
+                    // any checkpoint runs, so the journal always stores
+                    // the fine-grained state.
+                    for (slot, ret) in self.slots.iter_mut().zip(self.retained.iter_mut()) {
+                        if let Some(s) = slot.as_mut() {
+                            if let Some((_, _, h)) = s.result.as_mut() {
+                                *h = coarsen_histogram(h);
+                            }
+                            let now = slot_measured_bytes(s);
+                            if now < *ret {
+                                self.budget.release(*ret - now);
+                                *ret = now;
+                            }
                         }
                     }
                 }
-            }
-            DegradationRung::ShrinkWorkers => {
-                *width = (*width / 2).max(1);
-            }
-            DegradationRung::SpillPooled => {
-                drain_prefix(acc, slots, retained, next_merge, budget, metrics);
+                DegradationRung::ShrinkWorkers => *width = (*width / 2).max(1),
+                DegradationRung::SpillPooled => self.drain(),
             }
         }
-    }
-    // Drain mode: once slots spill, they keep spilling.
-    if engaged[2] {
-        drain_prefix(acc, slots, retained, next_merge, budget, metrics);
+        // Drain mode: once slots spill, they keep spilling.
+        if *engaged == DegradationRung::ALL.len() {
+            self.drain();
+        }
     }
 }
 
-/// The governed engine (DESIGN.md §4g): width-limited batches of
-/// windows acquire their projected transient footprint before any
-/// worker spawns, completed slots are accounted at their measured
-/// size until they drain into the strictly window-ordered merge, and
-/// soft-watermark checkpoints between batches walk the degradation
-/// ladder. All ledger traffic happens on this coordinating thread at
-/// window boundaries, so the schedule — and every recorded event — is
-/// deterministic for a fixed `(configuration, budget, threads)`.
-#[allow(clippy::too_many_arguments)]
-// lint:hot
-fn governed_capture(
+/// What every window of one capture shares, read-only on the workers.
+struct Capture<'a> {
     measurement: Measurement,
-    obs: &Observatory,
-    n: usize,
+    obs: &'a Observatory,
+    /// Absolute index of the capture's first window.
     start_t: u64,
-    threads: usize,
-    metrics: Option<&Metrics>,
-    policy: &FailurePolicy,
-    injector: Option<&Injector>,
-    journal: Option<&Journal>,
-    mut slots: Vec<Option<WindowSlot>>,
-    gov: &Governor<'_>,
-    model: &CostModel,
-    // Capture wall-clock start, observability only. lint:allow(R2)
-    capture_start: std::time::Instant,
-) -> Result<FaultTolerantPool, PipelineError> {
-    let budget = gov.budget;
-    let window_bytes = model.window_bytes();
-    let mut width = threads;
-    let mut engaged = [false; 3];
-    let mut next_merge = 0usize;
-    let mut retained: Vec<u64> = vec![0u64; n];
-    let mut merged_accounted = 0u64;
-    let mut acc = MergeAcc::new(measurement, n);
-    // Account journal-replayed slots before computing anything: a
-    // `--resume` of a huge journal under a tight budget must degrade
-    // (or abort cleanly) exactly like a live capture would.
-    for b in 0..n {
-        let bytes = match &slots[b] {
-            Some(s) => slot_measured_bytes(s),
-            None => continue,
-        };
-        let t = start_t + b as u64;
-        acquire_with_drain(
-            bytes,
-            t,
-            budget,
-            &mut acc,
-            &mut slots,
-            &mut retained,
-            &mut next_merge,
-            metrics,
-        )?;
-        if next_merge > b {
-            // The fallback drain folded this very slot; nothing is
-            // retained.
-            budget.release(bytes);
-        } else {
-            retained[b] = bytes;
-        }
-    }
-    if budget.soft_breached() {
-        budget_checkpoint(
-            start_t,
-            &mut width,
-            &mut engaged,
-            budget,
-            &mut acc,
-            &mut slots,
-            &mut retained,
-            &mut next_merge,
-            metrics,
-        );
-    }
-    let mut i = 0usize;
-    // Batch bookkeeping reused across iterations: cleared (capacity
-    // kept) each round instead of reallocated per batch.
-    let mut batch: Vec<usize> = Vec::new();
-    let mut results: Vec<Option<WindowSlot>> = Vec::new();
-    // One arena per worker slot, hoisted out of the batch loop so the
-    // hot per-window buffers survive across batches. A batch never
-    // exceeds `width ≤ threads` windows, so zipping batch indices with
-    // arenas always has an arena for every worker.
-    let mut arenas: Vec<WorkerArena> = (0..threads).map(|_| WorkerArena::new()).collect();
-    while i < n {
-        // Collect the next batch: up to `width` not-yet-computed
-        // windows (replayed slots are skipped — already accounted).
-        batch.clear();
-        let mut j = i;
-        while j < n && batch.len() < width {
-            if slots[j].is_none() {
-                batch.push(j);
-            }
-            j += 1;
-        }
-        i = j;
-        if batch.is_empty() {
-            continue;
-        }
-        // Acquire the batch's projected transient footprint up front.
-        // A ballast-injected window accounts for extra multiples of
-        // the window footprint — simulated memory pressure that
-        // exercises the ladder without allocating. Under hard
-        // pressure the batch *shrinks* instead of aborting: the
-        // admission floor guaranteed that at least one window at a
-        // time fits, so only a genuinely overcommitted ledger (e.g. a
-        // replay-heavy resume) can still abort here.
-        let projected = |batch: &[usize]| -> u64 {
-            let mut transient = 0u64;
-            for &b in batch {
-                let t = start_t + b as u64;
-                let mult = match injector.and_then(|inj| inj.plan(t, 0)) {
-                    Some(InjectedFault::Ballast) => 1 + BALLAST_WINDOW_MULTIPLIER,
-                    _ => 1,
-                };
-                transient = transient.saturating_add(window_bytes.saturating_mul(mult));
-            }
-            transient
-        };
-        let t0 = start_t + batch[0] as u64;
-        let transient = loop {
-            let transient = projected(&batch);
-            if budget.try_acquire(transient, t0).is_ok() {
-                break transient;
-            }
-            drain_prefix(
-                &mut acc,
-                &mut slots,
-                &mut retained,
-                &mut next_merge,
-                budget,
-                metrics,
-            );
-            if budget.try_acquire(transient, t0).is_ok() {
-                break transient;
-            }
-            match batch.pop() {
-                // Backpressure: defer the batch's tail window to a
-                // later batch and retry with fewer in flight.
-                Some(popped) if !batch.is_empty() => i = popped,
-                _ => {
-                    return Err(PipelineError::Budget(
-                        crate::budget::BudgetFault::HardWatermark {
-                            accounted: budget.accounted().saturating_add(transient),
-                            limit: budget.hard().unwrap_or(0),
-                            window: t0,
-                        },
-                    ));
-                }
-            }
-        };
-        // The batch may have shrunk under pressure; re-anchor the
-        // checkpoint position to its actual tail.
-        let Some(&last_b) = batch.last() else {
-            continue;
-        };
-        // Compute the batch: one worker per window, joined before any
-        // ledger or journal traffic resumes.
-        results.clear();
-        results.resize_with(batch.len(), || None);
-        std::thread::scope(|s| {
-            for ((slot, &b), arena) in results.iter_mut().zip(&batch).zip(arenas.iter_mut()) {
-                let t = start_t + b as u64;
+    metrics: Option<&'a Metrics>,
+    policy: &'a FailurePolicy,
+    injector: Option<&'a Injector>,
+    journal: Option<&'a Journal>,
+}
+
+/// The executor, the capture's only worker-spawning site: run every
+/// window of `batch` (indices relative to `capture.start_t`) on one
+/// scoped worker per arena, at most one per window. Workers claim
+/// windows through an atomic cursor the moment they finish one, so an
+/// expensive window (retries, a stall, a fault plan) never idles the
+/// rest of the pool. Each worker journals a window as soon as it
+/// completes — except an aborted one, which a resume must recompute to
+/// reach the same verdict; append errors latch inside the journal for
+/// the caller. Results land in `slots` after the scope joins.
+/// Scheduling freedom is safe because each window's outcome is pure in
+/// `t` and the merge is strictly window-ordered.
+// lint:hot
+fn execute(
+    capture: &Capture<'_>,
+    batch: &[usize],
+    arenas: &mut [WorkerArena],
+    slots: &mut [Option<WindowSlot>],
+) {
+    let cursor = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = arenas
+            .iter_mut()
+            .take(batch.len())
+            .map(|arena| {
+                let cursor = &cursor;
                 s.spawn(move || {
-                    // The governed path spawns one worker per batch
-                    // window; each borrows a long-lived arena, so the
-                    // hot buffers are reused across the window's retry
-                    // attempts *and* across batches.
-                    *slot = Some(process_window(
-                        measurement,
-                        obs,
-                        t,
-                        metrics,
-                        policy,
-                        injector,
-                        arena,
-                    ));
-                });
-            }
-        });
-        // Journal on the coordinating thread, in window order, before
-        // any degradation checkpoint can coarsen slot state — the
-        // journal always stores fine-grained histograms, so a resume
-        // under a different budget stays byte-exact.
-        for (computed, &b) in results.drain(..).zip(&batch) {
-            let Some(computed) = computed else { continue };
-            if let Some(j) = journal {
-                if computed.abort_fault.is_none() {
-                    let _ = j.append(&computed.to_entry(start_t + b as u64));
+                    let mut out: Vec<(usize, WindowSlot)> = Vec::new();
+                    loop {
+                        let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(&b) = batch.get(k) else { break };
+                        let t = capture.start_t + b as u64;
+                        let computed = process_window(capture, t, arena);
+                        if let Some(j) = capture.journal {
+                            if computed.abort_fault.is_none() {
+                                let _ = j.append(&computed.to_entry(t));
+                            }
+                        }
+                        out.push((b, computed));
+                    }
+                    out
+                })
+            })
+            .collect();
+        for h in handles {
+            let out = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+            for (b, computed) in out {
+                if let Some(slot) = slots.get_mut(b) {
+                    *slot = Some(computed);
                 }
             }
-            slots[b] = Some(computed);
         }
-        if let Some(j) = journal {
-            if let Some(fault) = j.take_fault() {
-                return Err(PipelineError::Journal(fault));
-            }
-        }
-        // Checkpoint while the batch's transient footprint is still
-        // accounted — the soft watermark must see the pressure the
-        // batch actually exerted, or the ladder would never engage
-        // (transients dominate the retained state).
-        budget_checkpoint(
-            start_t + last_b as u64,
-            &mut width,
-            &mut engaged,
-            budget,
-            &mut acc,
-            &mut slots,
-            &mut retained,
-            &mut next_merge,
-            metrics,
-        );
-        budget.release(transient);
-        // Swap the transient footprint for each slot's measured
-        // retained size.
-        for &b in &batch {
-            let bytes = match &slots[b] {
-                Some(s) => slot_measured_bytes(s),
-                None => continue,
-            };
-            acquire_with_drain(
-                bytes,
-                start_t + b as u64,
-                budget,
-                &mut acc,
-                &mut slots,
-                &mut retained,
-                &mut next_merge,
-                metrics,
-            )?;
-            if next_merge > b {
-                budget.release(bytes);
-            } else {
-                retained[b] = bytes;
-            }
-        }
-        // Re-account the merge-side state the checkpoint and drains
-        // may have grown.
-        let merged_now = acc
-            .merged
-            .approx_bytes()
-            .saturating_add(acc.p.stats.approx_bytes());
-        if merged_now > merged_accounted {
-            acquire_with_drain(
-                merged_now - merged_accounted,
-                start_t + last_b as u64,
-                budget,
-                &mut acc,
-                &mut slots,
-                &mut retained,
-                &mut next_merge,
-                metrics,
-            )?;
-        } else {
-            budget.release(merged_accounted - merged_now);
-        }
-        merged_accounted = merged_now;
-        if let Some(m) = metrics {
-            m.record_peak_accounted_bytes(budget.peak());
-        }
-    }
-    // Every slot is filled, so the final drain folds the whole
-    // capture in window order.
-    drain_prefix(
-        &mut acc,
-        &mut slots,
-        &mut retained,
-        &mut next_merge,
-        budget,
-        metrics,
-    );
-    debug_assert_eq!(next_merge, n);
-    budget.release(merged_accounted);
-    if let Some(m) = metrics {
-        m.record_peak_accounted_bytes(budget.peak());
-        m.add_capture_wall_ns(
-            u64::try_from(capture_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        );
-    }
-    acc.finish(policy, n, metrics)
+    });
 }
 
 /// Drive one window through its attempt loop and dispose of it per the
@@ -1241,22 +916,15 @@ fn governed_capture(
 /// `arena` is the worker's reusable buffer set — every attempt clears
 /// and refills what it uses, so its incoming contents never matter.
 // lint:hot
-fn process_window(
-    measurement: Measurement,
-    obs: &Observatory,
-    t: u64,
-    metrics: Option<&Metrics>,
-    policy: &FailurePolicy,
-    injector: Option<&Injector>,
-    arena: &mut WorkerArena,
-) -> WindowSlot {
+fn process_window(capture: &Capture<'_>, t: u64, arena: &mut WorkerArena) -> WindowSlot {
+    let policy = capture.policy;
     let mut last_fault: Option<WindowFault> = None;
     let mut injected = 0u64;
     let mut attempts = 0u32;
     let mut result: Option<(BinStats, Option<u64>, DegreeHistogram)> = None;
     let deadline_ms = policy.window_deadline_ms;
     for attempt in 0..=policy.max_retries {
-        let plan = injector.and_then(|inj| inj.plan(t, attempt));
+        let plan = capture.injector.and_then(|inj| inj.plan(t, attempt));
         if plan.is_some() {
             injected += 1;
         }
@@ -1270,16 +938,7 @@ fn process_window(
         // Observability-style clock read, never feeds a numerical
         // result. lint:allow(R2)
         let started = std::time::Instant::now();
-        let outcome = attempt_window(
-            measurement,
-            obs,
-            t,
-            attempt,
-            plan,
-            deadline_ms,
-            metrics,
-            arena,
-        );
+        let outcome = attempt_window(capture, t, attempt, plan, deadline_ms, arena);
         let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
         let outcome = match (outcome, deadline_ms) {
             (Ok(_), Some(deadline)) if elapsed_ms > deadline => Err(WindowFault::Stalled {
@@ -1352,16 +1011,7 @@ fn process_window(
             // One extra deterministic re-synthesis, never injected and
             // never watchdogged — it is the last resort.
             attempts += 1;
-            match attempt_window(
-                measurement,
-                obs,
-                t,
-                policy.max_retries + 1,
-                None,
-                None,
-                metrics,
-                arena,
-            ) {
+            match attempt_window(capture, t, policy.max_retries + 1, None, None, arena) {
                 Ok(r) => WindowSlot {
                     result: Some(r),
                     record: Some(FaultRecord {
@@ -1395,28 +1045,16 @@ fn process_window(
 /// `catch_unwind` boundary is sound: a panicked attempt can only
 /// leave stale buffer contents behind (never a broken invariant), and
 /// every stage clears or resets its buffers before reading them.
-#[allow(clippy::too_many_arguments)]
 fn attempt_window(
-    measurement: Measurement,
-    obs: &Observatory,
+    capture: &Capture<'_>,
     t: u64,
     attempt: u32,
     plan: Option<InjectedFault>,
     deadline_ms: Option<u64>,
-    metrics: Option<&Metrics>,
     arena: &mut WorkerArena,
 ) -> Result<(BinStats, Option<u64>, DegreeHistogram), WindowFault> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_window_attempt(
-            measurement,
-            obs,
-            t,
-            attempt,
-            plan,
-            deadline_ms,
-            metrics,
-            arena,
-        )
+        run_window_attempt(capture, t, attempt, plan, deadline_ms, arena)
     })) {
         Ok(r) => r,
         Err(payload) => Err(WindowFault::Panic {
@@ -1442,17 +1080,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// float-op sequence of the pre-fault-tolerance worker, preserving the
 /// bit-identity contract.
 // lint:hot
-#[allow(clippy::too_many_arguments)]
 fn run_window_attempt(
-    measurement: Measurement,
-    obs: &Observatory,
+    capture: &Capture<'_>,
     t: u64,
     attempt: u32,
     plan: Option<InjectedFault>,
     deadline_ms: Option<u64>,
-    metrics: Option<&Metrics>,
     arena: &mut WorkerArena,
 ) -> Result<(BinStats, Option<u64>, DegreeHistogram), WindowFault> {
+    let Capture {
+        measurement,
+        obs,
+        metrics,
+        ..
+    } = *capture;
     if plan == Some(InjectedFault::Stall) {
         // Oversleep the watchdog deadline so the attempt is classified
         // Stalled; with no deadline armed the delay is benign (the
@@ -1541,6 +1182,28 @@ mod tests {
     use crate::observatory::{Observatory, ObservatoryConfig};
     use crate::packets::{EdgeIntensity, Packet};
     use palu_graph::palu_gen::PaluGenerator;
+
+    /// One unbudgeted, unjournaled capture of `n` windows.
+    fn capture(
+        obs: &mut Observatory,
+        n: usize,
+        threads: usize,
+        metrics: Option<&Metrics>,
+        policy: &FailurePolicy,
+        injector: Option<&Injector>,
+    ) -> Result<FaultTolerantPool, PipelineError> {
+        Pipeline::pool_observatory_durable(
+            Measurement::UndirectedDegree,
+            obs,
+            n,
+            threads,
+            metrics,
+            policy,
+            injector,
+            None,
+            None,
+        )
+    }
 
     fn observatory(seed: u64) -> Observatory {
         Observatory::new(
@@ -1691,13 +1354,16 @@ mod tests {
         let serial = Pipeline::pool(Measurement::UndirectedDegree, &windows);
         for threads in [1, 2, 3, 5, 7, 8, 32] {
             let mut par_obs = observatory(8);
-            let parallel = Pipeline::pool_observatory_parallel(
-                Measurement::UndirectedDegree,
+            let parallel = capture(
                 &mut par_obs,
                 13,
                 threads,
                 None,
-            );
+                &FailurePolicy::strict(),
+                None,
+            )
+            .unwrap()
+            .pooled;
             assert_eq!(parallel.windows, serial.windows, "threads {threads}");
             assert_eq!(parallel.d_max, serial.d_max, "threads {threads}");
             assert_eq!(
@@ -1725,8 +1391,7 @@ mod tests {
         let mut a = observatory(9);
         let mut b = observatory(9);
         let _ = a.windows(6);
-        let _ =
-            Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut b, 6, 4, None);
+        capture(&mut b, 6, 4, None, &FailurePolicy::strict(), None).unwrap();
         // Both observatories are now positioned at window 6.
         assert_eq!(a.next_window().matrix(), b.next_window().matrix());
     }
@@ -1735,13 +1400,16 @@ mod tests {
     fn parallel_pool_records_metrics() {
         let mut obs = observatory(10);
         let metrics = crate::metrics::Metrics::new();
-        let pooled = Pipeline::pool_observatory_parallel(
-            Measurement::UndirectedDegree,
+        let pooled = capture(
             &mut obs,
             4,
             2,
             Some(&metrics),
-        );
+            &FailurePolicy::strict(),
+            None,
+        )
+        .unwrap()
+        .pooled;
         assert_eq!(pooled.windows, 4);
         let snap = metrics.snapshot();
         assert_eq!(snap.windows, 4);
@@ -1753,21 +1421,12 @@ mod tests {
     }
 
     #[test]
-    fn checked_engine_clean_run_matches_legacy_bitwise() {
+    fn clean_capture_matches_the_serial_fold() {
         let mut serial_obs = observatory(11);
         let windows = serial_obs.windows(7);
         let serial = Pipeline::pool(Measurement::UndirectedDegree, &windows);
         let mut obs = observatory(11);
-        let ft = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            7,
-            3,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let ft = capture(&mut obs, 7, 3, None, &FailurePolicy::strict(), None).unwrap();
         assert!(ft.report.is_clean());
         assert_eq!(ft.report.survivors, 7);
         assert_eq!(ft.pooled.windows, serial.windows);
@@ -1793,28 +1452,10 @@ mod tests {
     }
 
     #[test]
-    fn checked_engine_rejects_zero_windows() {
+    fn zero_windows_are_refused() {
         let mut obs = observatory(12);
-        let err = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            0,
-            4,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap_err();
+        let err = capture(&mut obs, 0, 4, None, &FailurePolicy::strict(), None).unwrap_err();
         assert_eq!(err, PipelineError::ZeroWindows);
-        // The legacy wrapper preserves the old silent-empty contract.
-        let pooled = Pipeline::pool_observatory_parallel(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            0,
-            4,
-            None,
-        );
-        assert_eq!(pooled.windows, 0);
     }
 
     #[test]
@@ -1827,16 +1468,7 @@ mod tests {
             },
             5,
         );
-        let err = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            6,
-            2,
-            None,
-            &FailurePolicy::strict(),
-            Some(&inj),
-        )
-        .unwrap_err();
+        let err = capture(&mut obs, 6, 2, None, &FailurePolicy::strict(), Some(&inj)).unwrap_err();
         match err {
             PipelineError::WindowAborted {
                 window,
@@ -1863,8 +1495,7 @@ mod tests {
         let run = |threads: usize| {
             let mut obs = observatory(33);
             let inj = Injector::new(InjectionSpec::uniform(0.5), 33);
-            Pipeline::pool_observatory_checked(
-                Measurement::UndirectedDegree,
+            capture(
                 &mut obs,
                 12,
                 threads,
@@ -1900,16 +1531,7 @@ mod tests {
             ..FailurePolicy::quarantine(0)
         };
         let mut obs = observatory(14);
-        let err = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            8,
-            4,
-            None,
-            &tight,
-            Some(&inj),
-        )
-        .unwrap_err();
+        let err = capture(&mut obs, 8, 4, None, &tight, Some(&inj)).unwrap_err();
         assert!(
             matches!(err, PipelineError::QuarantineOverflow { .. }),
             "{err:?}"
@@ -1947,16 +1569,7 @@ mod tests {
             params: vec![],
         };
         let mut obs = observatory(21);
-        let baseline = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            8,
-            3,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let baseline = capture(&mut obs, 8, 3, None, &FailurePolicy::strict(), None).unwrap();
         // Durable run writing the journal from scratch.
         let mut obs = observatory(21);
         let j = Journal::create(&path, header.clone()).unwrap();
@@ -2023,16 +1636,7 @@ mod tests {
             ..FailurePolicy::quarantine(2)
         }
         .with_deadline_ms(100);
-        let ft = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            6,
-            3,
-            None,
-            &policy,
-            Some(&inj),
-        )
-        .unwrap();
+        let ft = capture(&mut obs, 6, 3, None, &policy, Some(&inj)).unwrap();
         let stalled: Vec<_> = ft
             .report
             .records
@@ -2057,16 +1661,7 @@ mod tests {
         // Without --window-deadline-ms the stall only delays; results
         // stay bit-identical to a clean run.
         let mut obs = observatory(23);
-        let clean = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            3,
-            2,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let clean = capture(&mut obs, 3, 2, None, &FailurePolicy::strict(), None).unwrap();
         let inj = Injector::new(
             InjectionSpec {
                 stall: 1.0,
@@ -2075,16 +1670,7 @@ mod tests {
             9,
         );
         let mut obs = observatory(23);
-        let stalled = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            3,
-            2,
-            None,
-            &FailurePolicy::strict(),
-            Some(&inj),
-        )
-        .unwrap();
+        let stalled = capture(&mut obs, 3, 2, None, &FailurePolicy::strict(), Some(&inj)).unwrap();
         assert_bitwise_equal(&stalled.pooled, &clean.pooled, "unwatched stall");
         assert_eq!(stalled.report.survivors, 3);
     }
@@ -2128,16 +1714,7 @@ mod tests {
     #[test]
     fn governed_ample_budget_is_bit_identical_to_ungoverned() {
         let mut obs = observatory(31);
-        let baseline = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            8,
-            4,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let baseline = capture(&mut obs, 8, 4, None, &FailurePolicy::strict(), None).unwrap();
         let budget = ResourceBudget::with_limit(1 << 40);
         let metrics = Metrics::new();
         let ft = governed(31, 4, &budget, None, Some(&metrics)).unwrap();
@@ -2163,16 +1740,7 @@ mod tests {
         let limit = model.floor_bytes() + model.window_bytes();
         assert!(limit < model.peak_bytes(4), "budget genuinely tight");
         let mut obs = observatory(32);
-        let baseline = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            8,
-            4,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let baseline = capture(&mut obs, 8, 4, None, &FailurePolicy::strict(), None).unwrap();
         let budget = ResourceBudget::with_limit(limit);
         let ft = governed(32, 4, &budget, None, None).unwrap();
         assert!(
@@ -2235,27 +1803,9 @@ mod tests {
             Some(&gov),
         );
         assert!(refused.is_err());
-        let after = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            8,
-            4,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let after = capture(&mut obs, 8, 4, None, &FailurePolicy::strict(), None).unwrap();
         let mut fresh = observatory(33);
-        let fresh_run = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut fresh,
-            8,
-            4,
-            None,
-            &FailurePolicy::strict(),
-            None,
-        )
-        .unwrap();
+        let fresh_run = capture(&mut fresh, 8, 4, None, &FailurePolicy::strict(), None).unwrap();
         assert_bitwise_equal(
             &after.pooled,
             &fresh_run.pooled,

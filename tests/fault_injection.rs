@@ -10,7 +10,7 @@
 //! 3. **Substitution closure** — the substitute policy always delivers
 //!    `n` surviving windows, whatever was injected.
 //! 4. **Clean-path identity** — with no injector and a strict policy,
-//!    the checked engine is bit-identical to the serial fold.
+//!    the capture is bit-identical to the serial fold.
 //! 5. **Panic containment** — injected worker panics are caught and
 //!    classified, never propagated out of the pipeline.
 //! 6. **Inclusive quarantine boundary** — a quarantined fraction
@@ -23,7 +23,7 @@
 use palu_suite::prelude::*;
 use palu_traffic::observatory::ObservatoryConfig;
 use palu_traffic::packets::EdgeIntensity;
-use palu_traffic::pipeline::Measurement;
+use palu_traffic::pipeline::{FaultTolerantPool, Measurement};
 use palu_traffic::{
     FailurePolicy, FaultKind, InjectionSpec, Injector, PipelineError, WindowOutcome,
 };
@@ -45,6 +45,27 @@ fn observatory(seed: u64, n_v: u64) -> Observatory {
     )
 }
 
+/// One unbudgeted, unjournaled capture of `windows` windows.
+fn capture(
+    obs: &mut Observatory,
+    windows: usize,
+    threads: usize,
+    policy: &FailurePolicy,
+    injector: Option<&Injector>,
+) -> Result<FaultTolerantPool, PipelineError> {
+    Pipeline::pool_observatory_durable(
+        Measurement::UndirectedDegree,
+        obs,
+        windows,
+        threads,
+        None,
+        policy,
+        injector,
+        None,
+        None,
+    )
+}
+
 #[test]
 fn half_rate_injection_is_deterministic_across_threads_and_reruns() {
     const WINDOWS: usize = 64;
@@ -54,16 +75,7 @@ fn half_rate_injection_is_deterministic_across_threads_and_reruns() {
     for (threads, seed_round) in [(1usize, 0), (2, 0), (8, 0), (8, 1)] {
         let mut obs = observatory(21, 2_000);
         let injector = Injector::new(spec, 77);
-        let ft = Pipeline::pool_observatory_checked(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            WINDOWS,
-            threads,
-            None,
-            &policy,
-            Some(&injector),
-        )
-        .unwrap();
+        let ft = capture(&mut obs, WINDOWS, threads, &policy, Some(&injector)).unwrap();
         assert!(ft.report.injected > 0, "50% rate over 64 windows");
         assert_eq!(
             ft.report.survivors + ft.report.quarantined,
@@ -119,12 +131,10 @@ fn injected_count_matches_an_independent_plan_recount() {
     let spec = InjectionSpec::uniform(0.4);
     let mut obs = observatory(5, 2_000);
     let injector = Injector::new(spec, 13);
-    let ft = Pipeline::pool_observatory_checked(
-        Measurement::UndirectedDegree,
+    let ft = capture(
         &mut obs,
         WINDOWS,
         4,
-        None,
         &FailurePolicy::quarantine(0),
         Some(&injector),
     )
@@ -144,12 +154,10 @@ fn substitute_policy_always_delivers_every_window() {
     const WINDOWS: usize = 16;
     let mut obs = observatory(9, 2_000);
     let injector = Injector::new(InjectionSpec::uniform(0.8), 3);
-    let ft = Pipeline::pool_observatory_checked(
-        Measurement::UndirectedDegree,
+    let ft = capture(
         &mut obs,
         WINDOWS,
         4,
-        None,
         &FailurePolicy::substitute(1),
         Some(&injector),
     )
@@ -177,16 +185,7 @@ fn clean_checked_run_is_bit_identical_to_the_serial_fold() {
         Pipeline::pool(Measurement::UndirectedDegree, &windows)
     };
     let mut obs = observatory(33, 3_000);
-    let ft = Pipeline::pool_observatory_checked(
-        Measurement::UndirectedDegree,
-        &mut obs,
-        WINDOWS,
-        8,
-        None,
-        &FailurePolicy::strict(),
-        None,
-    )
-    .unwrap();
+    let ft = capture(&mut obs, WINDOWS, 8, &FailurePolicy::strict(), None).unwrap();
     assert!(ft.report.is_clean());
     assert_eq!(ft.pooled.windows, serial.windows);
     assert_eq!(ft.pooled.d_max, serial.d_max);
@@ -207,12 +206,10 @@ fn worker_panics_are_contained_and_classified() {
     };
     let mut obs = observatory(2, 2_000);
     let injector = Injector::new(spec, 1);
-    let ft = Pipeline::pool_observatory_checked(
-        Measurement::UndirectedDegree,
+    let ft = capture(
         &mut obs,
         WINDOWS,
         3,
-        None,
         &FailurePolicy::quarantine(0),
         Some(&injector),
     )
@@ -261,16 +258,8 @@ fn quarantine_threshold_boundary_is_inclusive() {
     };
     let mut obs = observatory(6, 2_000);
     let injector = Injector::new(spec, seed);
-    let ft = Pipeline::pool_observatory_checked(
-        Measurement::UndirectedDegree,
-        &mut obs,
-        WINDOWS,
-        4,
-        None,
-        &at_threshold,
-        Some(&injector),
-    )
-    .expect("a quarantined fraction exactly at the threshold must pass");
+    let ft = capture(&mut obs, WINDOWS, 4, &at_threshold, Some(&injector))
+        .expect("a quarantined fraction exactly at the threshold must pass");
     assert_eq!(ft.report.quarantined, 3);
     assert_eq!(ft.pooled.windows, 7);
 
@@ -281,16 +270,7 @@ fn quarantine_threshold_boundary_is_inclusive() {
     };
     let mut obs = observatory(6, 2_000);
     let injector = Injector::new(spec, seed);
-    let err = Pipeline::pool_observatory_checked(
-        Measurement::UndirectedDegree,
-        &mut obs,
-        WINDOWS,
-        4,
-        None,
-        &below,
-        Some(&injector),
-    )
-    .unwrap_err();
+    let err = capture(&mut obs, WINDOWS, 4, &below, Some(&injector)).unwrap_err();
     match err {
         PipelineError::QuarantineOverflow {
             quarantined,
@@ -320,12 +300,10 @@ fn duplicate_storm_faults_are_recounted_and_recovered_end_to_end() {
     };
     let mut obs = observatory(11, 2_000);
     let injector = Injector::new(spec, 41);
-    let ft = Pipeline::pool_observatory_checked(
-        Measurement::UndirectedDegree,
+    let ft = capture(
         &mut obs,
         WINDOWS,
         4,
-        None,
         &FailurePolicy::quarantine(RETRIES),
         Some(&injector),
     )

@@ -2,8 +2,8 @@
 //!
 //! Two guarantees the rest of the suite leans on:
 //!
-//! 1. **Determinism** — `Pipeline::pool_observatory_parallel` is
-//!    bit-identical to the serial fold for any thread count, because
+//! 1. **Determinism** — the capture engine
+//!    (`Pipeline::pool_observatory_durable`) is bit-identical to the serial fold for any thread count, because
 //!    per-window RNG streams are derived splittably by window index
 //!    and single-window shards merge in window order through the
 //!    `Welford::merge` n = 1 fast path (a literal replay of the
@@ -17,7 +17,8 @@
 use palu_suite::prelude::*;
 use palu_traffic::observatory::ObservatoryConfig;
 use palu_traffic::packets::EdgeIntensity;
-use palu_traffic::pipeline::Measurement;
+use palu_traffic::pipeline::{Measurement, PooledDistribution};
+use palu_traffic::FailurePolicy;
 
 fn observatory(seed: u64, n_v: u64) -> Observatory {
     let gen = PaluParams::from_core_leaf_fractions(0.5, 0.2, 3.0, 2.0, 0.5)
@@ -36,6 +37,28 @@ fn observatory(seed: u64, n_v: u64) -> Observatory {
     )
 }
 
+/// Pool `n` windows of `obs` on `threads` workers: a clean capture.
+fn pool(
+    obs: &mut Observatory,
+    n: usize,
+    threads: usize,
+    metrics: Option<&Metrics>,
+) -> PooledDistribution {
+    Pipeline::pool_observatory_durable(
+        Measurement::UndirectedDegree,
+        obs,
+        n,
+        threads,
+        metrics,
+        &FailurePolicy::strict(),
+        None,
+        None,
+        None,
+    )
+    .expect("clean capture")
+    .pooled
+}
+
 #[test]
 fn parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads() {
     const WINDOWS: usize = 64;
@@ -49,13 +72,7 @@ fn parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads() {
     // exit cleanly without claiming anything).
     for threads in [1usize, 2, 3, 5, 7, 8, 96] {
         let mut obs = observatory(42, 5_000);
-        let parallel = Pipeline::pool_observatory_parallel(
-            Measurement::UndirectedDegree,
-            &mut obs,
-            WINDOWS,
-            threads,
-            None,
-        );
+        let parallel = pool(&mut obs, WINDOWS, threads, None);
         assert_eq!(parallel.windows, serial.windows, "threads = {threads}");
         assert_eq!(parallel.d_max, serial.d_max, "threads = {threads}");
         assert_eq!(
@@ -84,13 +101,7 @@ fn parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads() {
 fn metrics_snapshot_counts_the_parallel_workload() {
     let metrics = Metrics::new();
     let mut obs = observatory(7, 2_000);
-    let pooled = Pipeline::pool_observatory_parallel(
-        Measurement::UndirectedDegree,
-        &mut obs,
-        8,
-        2,
-        Some(&metrics),
-    );
+    let pooled = pool(&mut obs, 8, 2, Some(&metrics));
     assert_eq!(pooled.windows, 8);
     let snap: MetricsSnapshot = metrics.snapshot();
     assert_eq!(snap.windows, 8);
@@ -109,8 +120,7 @@ fn single_window_weighted_fit_coincides_with_unweighted() {
     // uniform 1.0 and the weighted ZM fit equals the plain
     // least-squares fit on the same observation.
     let mut obs = observatory(11, 20_000);
-    let pooled =
-        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 1, 1, None);
+    let pooled = pool(&mut obs, 1, 1, None);
     let w = pooled.weights(100.0);
     assert!(!w.is_empty());
     assert!(w.iter().all(|&x| x == 1.0), "weights {w:?}");
@@ -132,8 +142,7 @@ fn multi_window_weights_remain_inverse_variance() {
     // 1/σ² (capped at the constant-bin default), i.e. *not* flattened
     // by the degenerate-case guard.
     let mut obs = observatory(13, 5_000);
-    let pooled =
-        Pipeline::pool_observatory_parallel(Measurement::UndirectedDegree, &mut obs, 12, 4, None);
+    let pooled = pool(&mut obs, 12, 4, None);
     let w = pooled.weights(100.0);
     let varying: Vec<(usize, f64)> = pooled
         .sigma
@@ -172,13 +181,7 @@ fn streaming_pool_agrees_with_parallel_pool() {
     let streamed = palu_traffic::stream::StreamStats::new(Measurement::UndirectedDegree)
         .consume(packets.into_iter(), 3_000);
     let mut obs2 = observatory(99, 3_000);
-    let parallel = Pipeline::pool_observatory_parallel(
-        Measurement::UndirectedDegree,
-        &mut obs2,
-        WINDOWS,
-        8,
-        None,
-    );
+    let parallel = pool(&mut obs2, WINDOWS, 8, None);
     assert_eq!(streamed.mean, parallel.mean);
     assert_eq!(streamed.sigma, parallel.sigma);
     assert_eq!(streamed.d_max, parallel.d_max);
