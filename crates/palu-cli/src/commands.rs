@@ -1392,27 +1392,55 @@ pub fn service_json(report: &palu_traffic::ServiceReport) -> crate::json::JsonVa
     ])
 }
 
-/// The client retry knobs shared by `submit` and `fit --server`.
+/// A millisecond option that must be positive. For a socket deadline
+/// zero would mean none at all: the OS refuses a zero timeout, and the
+/// socket keeps blocking without one.
+fn positive_ms(
+    args: &ParsedArgs,
+    key: &str,
+    default: u64,
+) -> Result<std::time::Duration, CliError> {
+    match args.u64_or(key, default)? {
+        0 => Err(CliError::usage(format!(
+            "--{key} must be a positive number of milliseconds"
+        ))),
+        ms => Ok(std::time::Duration::from_millis(ms)),
+    }
+}
+
+/// The client retry knobs shared by `submit`, `work` and `fit --server`.
 fn retry_policy(args: &ParsedArgs) -> Result<palu_traffic::RetryPolicy, CliError> {
     use std::time::Duration;
     Ok(palu_traffic::RetryPolicy {
         deadline: Duration::from_millis(args.u64_or("retry-deadline-ms", 30_000)?),
         backoff_base: Duration::from_millis(args.u64_or("backoff-base-ms", 20)?),
         backoff_cap: Duration::from_millis(args.u64_or("backoff-cap-ms", 500)?),
-        io_timeout: Duration::from_millis(args.u64_or("io-timeout-ms", 5_000)?),
+        io_timeout: positive_ms(args, "io-timeout-ms", 5_000)?,
         seed: args.u64_or("seed", 1)?,
     })
 }
 
-/// `palu-cli serve`: the federation service daemon. Accepts shard
-/// submissions over TCP, persists them through per-shard journals
-/// under `--journal-dir` (so a SIGKILL'd server rebuilds coverage on
-/// restart), and serves rolling merged fits until drained by
-/// `submit --shutdown`.
-fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
+/// The `--wire-faults` injector shared by `submit` and `work`.
+fn wire_injector(args: &ParsedArgs, seed: u64) -> Result<palu_traffic::WireInjector, CliError> {
+    use palu_traffic::WireSpec;
+    let spec = match args.options.get("wire-faults").filter(|s| !s.is_empty()) {
+        Some(spec) => {
+            WireSpec::parse(spec).map_err(|e| CliError::usage(format!("--wire-faults: {e}")))?
+        }
+        None => WireSpec::none(),
+    };
+    Ok(palu_traffic::WireInjector::new(spec, seed))
+}
+
+/// The collector `serve` and `dispatch` (named by `cmd`) both front,
+/// rebuilt from any shard journals already under `--journal-dir`,
+/// and the `--listen` address.
+fn collector_from_args(
+    args: &ParsedArgs,
+    cmd: &str,
+) -> Result<(palu_traffic::Collector, String), CliError> {
     use palu_traffic::pipeline::Measurement;
-    use palu_traffic::service::{Collector, Server, ServiceConfig};
-    use std::path::PathBuf;
+    use palu_traffic::service::{Collector, ServiceConfig};
 
     let sc = SimCapture::parse(args)?;
     let shards = args.u64_or("shards", 1)?;
@@ -1423,23 +1451,23 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
         )));
     }
     let journal_dir = args.require("journal-dir").map_err(|_| {
-        CliError::usage("serve requires --journal-dir <dir> (one journal per shard persists there)")
+        CliError::usage(format!(
+            "{cmd} requires --journal-dir <dir> (one journal per shard persists there)"
+        ))
     })?;
-    let read_timeout = args.u64_or("read-timeout-ms", 5_000)?;
-    let listen = args.get_or("listen", "127.0.0.1:0").to_string();
     let config = ServiceConfig {
         measurement: Measurement::UndirectedDegree,
         expect: sc.header(),
         shards,
         min_coverage,
-        journal_dir: PathBuf::from(journal_dir),
-        read_timeout: std::time::Duration::from_millis(read_timeout),
+        journal_dir: std::path::PathBuf::from(journal_dir),
+        read_timeout: positive_ms(args, "read-timeout-ms", 5_000)?,
     };
-    let collector = Collector::new(config).map_err(|e| service_fault_error("serve", &e))?;
+    let collector = Collector::new(config).map_err(|e| service_fault_error(cmd, &e))?;
     let recovered = collector.report();
     if recovered.covered > 0 {
         eprintln!(
-            "serve: recovered {}/{} window(s) from {} shard journal(s) on disk \
+            "{cmd}: recovered {}/{} window(s) from {} shard journal(s) on disk \
              ({} torn record(s) dropped)",
             recovered.covered,
             recovered.windows,
@@ -1447,19 +1475,37 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
             recovered.torn_records_dropped
         );
     }
+    Ok((collector, args.get_or("listen", "127.0.0.1:0").to_string()))
+}
+
+/// Write the bound address to `--addr-file`, when one is given.
+fn write_addr_file(args: &ParsedArgs, addr: std::net::SocketAddr) -> Result<(), CliError> {
+    match args.options.get("addr-file").filter(|s| !s.is_empty()) {
+        Some(path) => std::fs::write(path, format!("{addr}\n"))
+            .map_err(|e| CliError::runtime(format!("{path}: {e}"))),
+        None => Ok(()),
+    }
+}
+
+/// `palu-cli serve`: the federation service daemon. Accepts shard
+/// submissions over TCP, persists them through per-shard journals
+/// under `--journal-dir` (so a SIGKILL'd server rebuilds coverage on
+/// restart), and serves rolling merged fits until drained by
+/// `submit --shutdown`.
+fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
+    use palu_traffic::service::Server;
+
+    let (collector, listen) = collector_from_args(args, "serve")?;
     let server = Server::bind(&listen, collector).map_err(|e| service_fault_error("serve", &e))?;
     let addr = server
         .local_addr()
         .map_err(|e| service_fault_error("serve", &e))?;
+    let config = server.collector().config();
     eprintln!(
-        "serve: listening on {addr} for {shards} shard(s) × {} windows (min coverage \
-         {min_coverage})",
-        sc.n_windows
+        "serve: listening on {addr} for {} shard(s) × {} windows (min coverage {})",
+        config.shards, config.expect.windows, config.min_coverage
     );
-    if let Some(path) = args.options.get("addr-file").filter(|s| !s.is_empty()) {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
+    write_addr_file(args, addr)?;
     let report = server.run().map_err(|e| service_fault_error("serve", &e))?;
     eprintln!(
         "serve: drained after {} submission session(s): {}/{} windows covered, {} record(s) \
@@ -1486,7 +1532,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), CliError> {
 /// resumption, or (with `--shutdown`) drain the service.
 fn cmd_submit(args: &ParsedArgs) -> Result<(), CliError> {
     use palu_traffic::service::{request_shutdown, submit_journal};
-    use palu_traffic::{WireInjector, WireSpec};
 
     let server = args
         .require("server")
@@ -1506,13 +1551,7 @@ fn cmd_submit(args: &ParsedArgs) -> Result<(), CliError> {
         .to_string();
     let shards = args.u64_or("shards", 1)?;
     let shard = args.u64_or("shard-index", 0)?;
-    let spec = match args.options.get("wire-faults").filter(|s| !s.is_empty()) {
-        Some(spec) => {
-            WireSpec::parse(spec).map_err(|e| CliError::usage(format!("--wire-faults: {e}")))?
-        }
-        None => WireSpec::none(),
-    };
-    let injector = WireInjector::new(spec, sc.seed);
+    let injector = wire_injector(args, sc.seed)?;
     let expect = sc.header();
     eprintln!("submit: shard {shard}/{shards} from {journal} to {server}");
     let outcome = submit_journal(
@@ -1591,27 +1630,9 @@ pub fn dispatch_json(report: &palu_traffic::DispatchReport) -> crate::json::Json
 /// `--journal-dir` re-derives completion from the shard journals and
 /// re-dispatches only what is genuinely incomplete.
 fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
-    use palu_traffic::pipeline::Measurement;
-    use palu_traffic::service::{Collector, ServiceConfig};
     use palu_traffic::{DispatchConfig, DispatchServer, Dispatcher};
-    use std::path::PathBuf;
     use std::time::Duration;
 
-    let sc = SimCapture::parse(args)?;
-    let shards = args.u64_or("shards", 1)?;
-    let min_coverage = args.f64_or("min-coverage", 1.0)?;
-    if !(0.0..=1.0).contains(&min_coverage) {
-        return Err(CliError::usage(format!(
-            "--min-coverage must be in [0,1], got {min_coverage}"
-        )));
-    }
-    let journal_dir = args.require("journal-dir").map_err(|_| {
-        CliError::usage(
-            "dispatch requires --journal-dir <dir> (one journal per shard persists there)",
-        )
-    })?;
-    let read_timeout = args.u64_or("read-timeout-ms", 5_000)?;
-    let listen = args.get_or("listen", "127.0.0.1:0").to_string();
     let lease_ms = args.u64_or("lease-ms", 10_000)?;
     let heartbeat_ms = args.u64_or("heartbeat-ms", lease_ms / 4)?;
     if lease_ms == 0 || heartbeat_ms == 0 {
@@ -1620,37 +1641,11 @@ fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
         ));
     }
     let stall = match args.options.get("stall-ms") {
+        Some(_) => Some(positive_ms(args, "stall-ms", 0)?),
         None => None,
-        Some(_) => {
-            let ms = args.u64_or("stall-ms", 0)?;
-            if ms == 0 {
-                return Err(CliError::usage(
-                    "--stall-ms must be a positive number of milliseconds",
-                ));
-            }
-            Some(Duration::from_millis(ms))
-        }
     };
-    let config = ServiceConfig {
-        measurement: Measurement::UndirectedDegree,
-        expect: sc.header(),
-        shards,
-        min_coverage,
-        journal_dir: PathBuf::from(journal_dir),
-        read_timeout: Duration::from_millis(read_timeout),
-    };
-    let collector = Collector::new(config).map_err(|e| service_fault_error("dispatch", &e))?;
-    let recovered = collector.report();
-    if recovered.covered > 0 {
-        eprintln!(
-            "dispatch: recovered {}/{} window(s) from {} shard journal(s) on disk \
-             ({} torn record(s) dropped)",
-            recovered.covered,
-            recovered.windows,
-            recovered.shard_rows.len(),
-            recovered.torn_records_dropped
-        );
-    }
+    let (collector, listen) = collector_from_args(args, "dispatch")?;
+    let (shards, windows) = (collector.config().shards, collector.config().expect.windows);
     let dconfig = DispatchConfig {
         lease: Duration::from_millis(lease_ms),
         heartbeat: Duration::from_millis(heartbeat_ms),
@@ -1665,14 +1660,10 @@ fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
         .local_addr()
         .map_err(|e| service_fault_error("dispatch", &e))?;
     eprintln!(
-        "dispatch: listening on {addr}, leasing {shards} shard(s) × {} windows \
-         (lease {lease_ms} ms, heartbeat {heartbeat_ms} ms)",
-        sc.n_windows
+        "dispatch: listening on {addr}, leasing {shards} shard(s) × {windows} windows \
+         (lease {lease_ms} ms, heartbeat {heartbeat_ms} ms)"
     );
-    if let Some(path) = args.options.get("addr-file").filter(|s| !s.is_empty()) {
-        std::fs::write(path, format!("{addr}\n"))
-            .map_err(|e| CliError::runtime(format!("{path}: {e}")))?;
-    }
+    write_addr_file(args, addr)?;
     // Keep a handle on the wrapped collector (the server consumes
     // itself in run()) so the metrics file can include the service
     // section alongside the dispatch section.
@@ -1723,8 +1714,7 @@ fn cmd_dispatch(args: &ParsedArgs) -> Result<(), CliError> {
 fn cmd_work(args: &ParsedArgs) -> Result<(), CliError> {
     use palu_traffic::pipeline::{Measurement, Pipeline};
     use palu_traffic::{
-        resume_zombie, run_worker, FederationError, ServiceFault, WireInjector, WireSpec,
-        WorkPhase, WorkerConfig,
+        resume_zombie, run_worker, FederationError, ServiceFault, WorkPhase, WorkerConfig,
     };
     use std::path::PathBuf;
     use std::time::Duration;
@@ -1744,13 +1734,7 @@ fn cmd_work(args: &ParsedArgs) -> Result<(), CliError> {
         .map_err(|e| CliError::runtime(format!("{work_dir}: {e}")))?;
     let retry = retry_policy(args)?;
     let sc = SimCapture::parse(args)?;
-    let spec = match args.options.get("wire-faults").filter(|s| !s.is_empty()) {
-        Some(spec) => {
-            WireSpec::parse(spec).map_err(|e| CliError::usage(format!("--wire-faults: {e}")))?
-        }
-        None => WireSpec::none(),
-    };
-    let injector = WireInjector::new(spec, sc.seed);
+    let injector = wire_injector(args, sc.seed)?;
     let cfg = WorkerConfig {
         addr: server,
         worker,
@@ -3138,6 +3122,23 @@ mod tests {
         let e = run(&parse(&argv)).unwrap_err();
         assert_eq!(e.code, exit::USAGE);
         assert!(e.message.contains("wire-faults"), "{}", e.message);
+        // A zero socket deadline would mean none at all: refused.
+        let work_dir = std::env::temp_dir().join("palu-cli-zero-timeout");
+        let work_dir = work_dir.to_str().unwrap();
+        for (cmd, option) in [
+            ("serve", "--read-timeout-ms"),
+            ("dispatch", "--read-timeout-ms"),
+            ("submit", "--io-timeout-ms"),
+            ("work", "--io-timeout-ms"),
+        ] {
+            let mut argv = vec![cmd, "--server", "127.0.0.1:1", "--work-dir", work_dir];
+            argv.extend(["--journal-dir", "never-created", option, "0"]);
+            argv.extend(fed_flags());
+            let e = run(&parse(&argv)).unwrap_err();
+            assert_eq!(e.code, exit::USAGE, "{cmd} {option} 0: {}", e.message);
+            assert!(e.message.contains(option), "{}", e.message);
+        }
+        assert!(!Path::new("never-created").exists());
     }
 
     #[test]

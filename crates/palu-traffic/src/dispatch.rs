@@ -22,13 +22,13 @@
 //! coverage — fencing adds typed observability and tells the zombie
 //! to stop burning cycles, it is not load-bearing for correctness.
 //!
-//! The dispatcher *wraps* a [`Collector`] behind one listener: the
-//! first frame of each connection routes the session — lease frames
-//! are handled here, everything else (submission, fit, shutdown)
-//! replays byte-exactly into [`Collector::handle`]. Workers therefore
-//! submit through the PR 9 path unchanged, and the merged fit stays
-//! bit-identical to single-process at any worker count and under any
-//! kill schedule.
+//! The dispatcher *wraps* a [`Collector`] behind one listener: every
+//! connection runs the collector's own frame loop, which hands lease
+//! frames to this module's handler and serves everything else
+//! (submission, fit, shutdown) itself. Workers therefore submit
+//! through the collector's submission path unchanged, and the merged
+//! fit stays bit-identical to single-process at any worker count and
+//! under any kill schedule.
 //!
 //! Crash recovery is free by construction: lease state is *derived*
 //! (which ranges are complete comes from the collector's per-shard
@@ -48,12 +48,12 @@ use crate::fault::{FaultKind, FaultRecord, FaultReport, WindowOutcome};
 use crate::federation::{FederationError, ShardPlan, ShardRange};
 use crate::journal::{Journal, JournalFault, JournalHeader};
 use crate::service::{
-    connect, frame_name, journal_fault_to_service, now, read_reply, submit_journal, Collector,
-    SubmitOutcome,
+    call_once, journal_fault_to_service, submit_journal, unexpected, CallFault, Collector,
+    ConnectionSummary, SubmitOutcome,
 };
 use crate::wire::{
-    read_frame, write_frame, LeaseOffer, LeaseTicket, RefusalClass, RetryPolicy, ServiceFault,
-    WireInjector, WireMessage, TYPE_LEASE_REQUEST, TYPE_WORK_DONE,
+    now, LeaseOffer, LeaseTicket, RefusalClass, RetryPolicy, ServiceFault, WireInjector,
+    WireMessage,
 };
 use palu_stats::rng::{Rng, SeedSequence};
 use std::collections::BTreeMap;
@@ -368,65 +368,14 @@ impl Dispatcher {
         }
     }
 
-    /// Handle one connection: the first frame routes the session.
-    /// Lease frames (types 25–29) are supervised here; anything else —
-    /// including torn or corrupt first frames — replays byte-exactly
-    /// into [`Collector::handle`], so the submission/fit/shutdown
-    /// protocol is the PR 9 code path, not a reimplementation.
-    pub fn handle<S: Read + Write>(&self, conn: &mut S) {
-        let mut recorder = Recorder {
-            inner: conn,
-            seen: Vec::new(),
-        };
-        let first = read_frame(&mut recorder);
-        let lease_payload = match first {
-            Ok(Some(payload))
-                if payload
-                    .first()
-                    .is_some_and(|k| (TYPE_LEASE_REQUEST..=TYPE_WORK_DONE).contains(k)) =>
-            {
-                Some(payload)
-            }
-            _ => None,
-        };
-        let seen = std::mem::take(&mut recorder.seen);
-        match lease_payload {
-            Some(payload) => self.lease_session(conn, payload),
-            None => {
-                // Replay every byte the router consumed, then hand the
-                // live stream over: the collector sees the identical
-                // byte sequence the client sent.
-                let mut replay = Replay {
-                    head: std::io::Cursor::new(seen),
-                    inner: conn,
-                };
-                let _ = self.collector.handle(&mut replay);
-            }
-        }
-    }
-
-    /// One lease session: reply to each decoded lease frame until the
-    /// peer closes. Faults answer with a `Reject` frame carrying the
-    /// typed wire code (16 for fencing), mirroring the collector.
-    fn lease_session<S: Read + Write>(&self, conn: &mut S, first: Vec<u8>) {
-        let mut payload = first;
-        loop {
-            let reply = WireMessage::decode(&payload).and_then(|msg| self.on_lease_message(msg));
-            let frame = match reply {
-                Ok(message) => message,
-                Err(fault) => WireMessage::Reject {
-                    code: fault.code(),
-                    message: fault.to_string(),
-                },
-            };
-            if write_frame(conn, &frame.encode()).is_err() {
-                break;
-            }
-            match read_frame(conn) {
-                Ok(Some(next)) => payload = next,
-                _ => break,
-            }
-        }
+    /// Handle one connection in the collector's frame loop, with this
+    /// dispatcher answering its lease frames (types 25–29). A lease
+    /// refusal goes back as a `Reject` frame carrying the typed wire
+    /// code (16 for fencing), is accounted in the [`DispatchReport`]
+    /// only, and leaves the session open.
+    pub fn handle<S: Read + Write>(&self, conn: &mut S) -> ConnectionSummary {
+        self.collector
+            .session(conn, Some(&|message| self.on_lease_message(message)))
     }
 
     fn on_lease_message(&self, message: WireMessage) -> Result<WireMessage, ServiceFault> {
@@ -449,9 +398,7 @@ impl Dispatcher {
                     fence,
                     deadline_ms: 0,
                 }),
-            other => Err(ServiceFault::Protocol {
-                detail: format!("{} frame on a lease session", frame_name(&other)),
-            }),
+            other => Err(unexpected("a lease frame", &other)),
         }
     }
 
@@ -755,49 +702,6 @@ impl Dispatcher {
     }
 }
 
-/// A stream wrapper that remembers every byte read, so the session
-/// router can replay a consumed first frame into the collector.
-struct Recorder<'a, S> {
-    inner: &'a mut S,
-    seen: Vec<u8>,
-}
-
-impl<S: Read> Read for Recorder<'_, S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        // n ≤ buf.len() by the Read contract. lint:allow(R8)
-        self.seen.extend_from_slice(&buf[..n]);
-        Ok(n)
-    }
-}
-
-/// Head-then-stream reader: serves the recorded prefix first, then
-/// the live connection; writes go straight through.
-struct Replay<'a, S> {
-    head: std::io::Cursor<Vec<u8>>,
-    inner: &'a mut S,
-}
-
-impl<S: Read> Read for Replay<'_, S> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = std::io::Read::read(&mut self.head, buf)?;
-        if n > 0 {
-            return Ok(n);
-        }
-        self.inner.read(buf)
-    }
-}
-
-impl<S: Write> Write for Replay<'_, S> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.inner.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// The TCP face of the dispatcher: one listener serving both lease
 /// sessions and the whole collector protocol. Exits when every shard
 /// completes (unless `linger`), when a `Shutdown` frame drains the
@@ -852,7 +756,7 @@ impl DispatchServer {
         Arc::clone(&self.stop)
     }
 
-    /// Accept and route connections until done / drained / stalled /
+    /// Accept and handle connections until done / drained / stalled /
     /// stopped, then return the dispatch report.
     ///
     /// # Errors
@@ -866,7 +770,9 @@ impl DispatchServer {
             self.listener,
             d.collector().config().read_timeout,
             Some(&self.stop),
-            move |stream| dispatcher.handle(stream),
+            move |stream| {
+                let _ = dispatcher.handle(stream);
+            },
             || d.collector().draining() || (!d.config().linger && d.all_done()) || d.stalled(),
         )?;
         Ok(self.dispatcher.report())
@@ -932,39 +838,6 @@ pub fn worker_journal_name(worker: u64, shards: u64, shard: u64) -> String {
     format!("worker-{worker}-shard-{shards}-{shard}.journal")
 }
 
-/// One framed request/reply round against the dispatcher, reporting a
-/// refused connection distinctly from other transport trouble: the
-/// dispatcher exits the moment every shard completes, so on a worker
-/// that has already spoken to it, "connection refused" is the
-/// signature of a *finished* dispatcher — not a slow one.
-enum CallOutcome {
-    Reply(WireMessage),
-    Gone,
-    Fault(ServiceFault),
-}
-
-fn call_once(addr: &str, retry: &RetryPolicy, frame: &WireMessage) -> CallOutcome {
-    let mut stream = match std::net::TcpStream::connect(addr) {
-        Ok(stream) => stream,
-        Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => return CallOutcome::Gone,
-        Err(e) => {
-            return CallOutcome::Fault(ServiceFault::Io {
-                detail: format!("connect {addr}: {e}"),
-            })
-        }
-    };
-    let _ = stream.set_read_timeout(Some(retry.io_timeout));
-    let _ = stream.set_write_timeout(Some(retry.io_timeout));
-    let _ = stream.set_nodelay(true);
-    if let Err(fault) = write_frame(&mut stream, &frame.encode()) {
-        return CallOutcome::Fault(fault);
-    }
-    match read_reply(&mut stream) {
-        Ok(reply) => CallOutcome::Reply(reply),
-        Err(fault) => CallOutcome::Fault(fault),
-    }
-}
-
 /// Ask the dispatcher for a lease, retrying transport faults until
 /// the policy deadline.
 ///
@@ -992,31 +865,14 @@ fn lease_round(
     worker: u64,
     contacted: bool,
 ) -> Result<LeaseOffer, ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let fault = match call_once(addr, retry, &WireMessage::LeaseRequest { worker }) {
-            CallOutcome::Reply(WireMessage::LeaseGrant(offer)) => return Ok(offer),
-            CallOutcome::Reply(other) => ServiceFault::Protocol {
-                detail: format!("expected LeaseGrant, got {}", frame_name(&other)),
-            },
-            CallOutcome::Gone if contacted => return Ok(LeaseOffer::Complete),
-            CallOutcome::Gone => ServiceFault::Io {
-                detail: format!("connect {addr}: connection refused"),
-            },
-            CallOutcome::Fault(fault) => fault,
-        };
-        if !fault.retryable() {
-            return Err(fault);
-        }
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    retry.run(
+        |_| match call_once(addr, retry, &WireMessage::LeaseRequest { worker }) {
+            Ok(WireMessage::LeaseGrant(offer)) => Ok(offer),
+            Ok(other) => Err(unexpected("LeaseGrant", &other)),
+            Err(CallFault::Refused(_)) if contacted => Ok(LeaseOffer::Complete),
+            Err(fault) => Err(fault.into()),
+        },
+    )
 }
 
 /// One heartbeat: single attempt (a missed beat is recoverable by the
@@ -1035,21 +891,14 @@ pub fn send_heartbeat(
     shard: u64,
     fence: u64,
 ) -> Result<u64, ServiceFault> {
-    let mut stream = connect(addr, retry)?;
-    write_frame(
-        &mut stream,
-        &WireMessage::Heartbeat {
-            worker,
-            shard,
-            fence,
-        }
-        .encode(),
-    )?;
-    match read_reply(&mut stream)? {
+    let beat = WireMessage::Heartbeat {
+        worker,
+        shard,
+        fence,
+    };
+    match call_once(addr, retry, &beat)? {
         WireMessage::LeaseRenew { deadline_ms, .. } => Ok(deadline_ms),
-        other => Err(ServiceFault::Protocol {
-            detail: format!("expected LeaseRenew, got {}", frame_name(&other)),
-        }),
+        other => Err(unexpected("LeaseRenew", &other)),
     }
 }
 
@@ -1083,36 +932,17 @@ fn work_done_round(
     fence: u64,
     submitted: bool,
 ) -> Result<(), ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let frame = WireMessage::WorkDone {
-            worker,
-            shard,
-            fence,
-        };
-        let fault = match call_once(addr, retry, &frame) {
-            CallOutcome::Reply(WireMessage::LeaseRenew { .. }) => return Ok(()),
-            CallOutcome::Reply(other) => ServiceFault::Protocol {
-                detail: format!("expected WorkDone ack, got {}", frame_name(&other)),
-            },
-            CallOutcome::Gone if submitted => return Ok(()),
-            CallOutcome::Gone => ServiceFault::Io {
-                detail: format!("connect {addr}: connection refused"),
-            },
-            CallOutcome::Fault(fault) => fault,
-        };
-        if !fault.retryable() {
-            return Err(fault);
-        }
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    let done = WireMessage::WorkDone {
+        worker,
+        shard,
+        fence,
+    };
+    retry.run(|_| match call_once(addr, retry, &done) {
+        Ok(WireMessage::LeaseRenew { .. }) => Ok(()),
+        Ok(other) => Err(unexpected("WorkDone ack", &other)),
+        Err(CallFault::Refused(_)) if submitted => Ok(()),
+        Err(fault) => Err(fault.into()),
+    })
 }
 
 /// Serve leases until the dispatcher reports the capture complete.
@@ -1361,4 +1191,77 @@ pub fn resume_zombie(
         fenced,
         resubmitted,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::tests::{config, Duplex};
+    use crate::wire::write_frame;
+
+    fn connection(messages: &[WireMessage]) -> Duplex {
+        let mut bytes = Vec::new();
+        for message in messages {
+            write_frame(&mut bytes, &message.encode()).unwrap();
+        }
+        Duplex::new(bytes)
+    }
+
+    #[test]
+    fn lease_refusals_are_accounted_by_the_dispatcher_only() {
+        let collector = Collector::new(config("lease-refusals", 8, 2)).unwrap();
+        let dispatcher = Dispatcher::new(collector.clone(), DispatchConfig::fast()).unwrap();
+        let request = WireMessage::LeaseRequest { worker: 1 };
+        let mut first = connection(std::slice::from_ref(&request));
+        dispatcher.handle(&mut first);
+        let ticket = match first.replies().as_slice() {
+            [WireMessage::LeaseGrant(LeaseOffer::Granted(ticket))] => *ticket,
+            other => panic!("expected one grant, got {other:?}"),
+        };
+        // A stale heartbeat, then an orphaning WorkDone (nothing is
+        // persisted yet): both are refused, fenced (16) and `Protocol`
+        // (8), and the session outlives them to grant the next request.
+        let (shard, fence) = (ticket.shard, ticket.fence);
+        let mut second = connection(&[
+            WireMessage::Heartbeat {
+                worker: 1,
+                shard,
+                fence: fence - 1,
+            },
+            WireMessage::WorkDone {
+                worker: 1,
+                shard,
+                fence,
+            },
+            request.clone(),
+        ]);
+        let summary = dispatcher.handle(&mut second);
+        assert!(summary.fault.is_none(), "{:?}", summary.fault);
+        let replies = second.replies();
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [
+                    WireMessage::Reject { code: 16, .. },
+                    WireMessage::Reject { code: 8, .. },
+                    WireMessage::LeaseGrant(LeaseOffer::Granted(_))
+                ]
+            ),
+            "{replies:?}"
+        );
+        assert_eq!(collector.report().rejected, 0);
+        assert_eq!(dispatcher.report().leases_fenced, 1);
+        // A bare collector refuses the same request.
+        let mut bare = connection(&[request]);
+        let summary = collector.handle(&mut bare);
+        assert!(
+            matches!(&summary.fault, Some(ServiceFault::Protocol { detail }) if detail.contains("plain collector")),
+            "{:?}",
+            summary.fault
+        );
+        assert!(matches!(
+            bare.replies().as_slice(),
+            [WireMessage::Reject { code: 8, .. }]
+        ));
+    }
 }

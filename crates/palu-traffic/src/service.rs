@@ -34,7 +34,9 @@
 //! Separation of concerns: `Collector::handle` takes any
 //! `Read + Write` stream, so the torn-frame sweep in
 //! `tests/service.rs` drives the full protocol over in-memory
-//! buffers, byte by byte, with no sockets involved.
+//! buffers, byte by byte, with no sockets involved. Its frame loop is
+//! the only server-side one: the dispatcher (DESIGN.md §4l) runs it
+//! with a handler for lease frames, which a plain collector refuses.
 
 use crate::accept;
 use crate::federation::{self, FederationError, ShardPlan, ShardRange};
@@ -42,8 +44,8 @@ use crate::journal::{self, Journal, JournalFault, JournalHeader, WindowEntry};
 use crate::metrics::Metrics;
 use crate::pipeline::Measurement;
 use crate::wire::{
-    read_frame, write_frame, FitRow, FitSnapshot, ServiceFault, ShardTornRow, WireInjector,
-    WireMessage,
+    read_frame, write_frame, FitRow, FitSnapshot, ServiceFault, ShardTornRow, WireFault,
+    WireInjector, WireMessage,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
@@ -52,15 +54,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Read the monotonic clock for retry pacing and read deadlines.
-/// Confined here so the pragma is one auditable site.
-// Transport pacing only: the clock reading never reaches a numerical
-// result. lint:allow(R2)
-pub(crate) fn now() -> std::time::Instant {
-    // lint:allow(R2)
-    std::time::Instant::now()
-}
 
 /// How the collector identifies the capture it is collecting: the
 /// full run identity (the journal header every shard must match) plus
@@ -336,6 +329,18 @@ impl Collector {
     /// with a best-effort `Reject` frame where the peer may still be
     /// listening).
     pub fn handle<S: Read + Write>(&self, conn: &mut S) -> ConnectionSummary {
+        self.session(conn, None)
+    }
+
+    /// The one frame loop. `leases`, the dispatcher's handler, answers
+    /// each lease frame with its reply, or with a `Reject` for its
+    /// refusal; the handler accounts that refusal itself, so it never
+    /// reaches this collector's report, and the session goes on.
+    pub(crate) fn session<S: Read + Write>(
+        &self,
+        conn: &mut S,
+        leases: Option<&dyn Fn(WireMessage) -> Result<WireMessage, ServiceFault>>,
+    ) -> ConnectionSummary {
         let mut summary = ConnectionSummary::default();
         // Session state: which shard this connection submits for, and
         // whether its identity header has been validated.
@@ -373,13 +378,19 @@ impl Collector {
                     let _ = write_frame(conn, &WireMessage::ShutdownAck.encode());
                     break;
                 }
-                WireMessage::LeaseRequest { .. }
+                lease @ (WireMessage::LeaseRequest { .. }
                 | WireMessage::Heartbeat { .. }
-                | WireMessage::WorkDone { .. } => Err(ServiceFault::Protocol {
-                    detail: "lease frame on a submission session — this endpoint \
-                             is a plain collector, not a dispatcher"
-                        .to_string(),
-                }),
+                | WireMessage::WorkDone { .. }) => match leases {
+                    Some(answer) => {
+                        let reply = answer(lease).unwrap_or_else(|fault| reject(&fault));
+                        write_frame(conn, &reply.encode())
+                    }
+                    None => Err(ServiceFault::Protocol {
+                        detail: "lease frame on a submission session — this endpoint \
+                                 is a plain collector, not a dispatcher"
+                            .to_string(),
+                    }),
+                },
                 WireMessage::BeginAck { .. }
                 | WireMessage::EndAck { .. }
                 | WireMessage::Reject { .. }
@@ -410,14 +421,7 @@ impl Collector {
             let mut state = self.lock();
             Collector::record_fault(&mut state, &fault);
         }
-        let _ = write_frame(
-            conn,
-            &WireMessage::Reject {
-                code: fault.code(),
-                message: fault.to_string(),
-            }
-            .encode(),
-        );
+        let _ = write_frame(conn, &reject(&fault).encode());
         summary.fault = Some(fault);
     }
 
@@ -718,6 +722,14 @@ impl Collector {
     }
 }
 
+/// The `Reject` frame that carries `fault` to the peer.
+fn reject(fault: &ServiceFault) -> WireMessage {
+    WireMessage::Reject {
+        code: fault.code(),
+        message: fault.to_string(),
+    }
+}
+
 /// The TCP face of the service: the shared blocking accept loop
 /// (`accept.rs`) spawning one handler thread per connection. The loop
 /// re-checks the collector's draining flag as each session ends, so a
@@ -812,28 +824,65 @@ pub struct SubmitOutcome {
     pub torn_bytes_dropped: u64,
 }
 
-pub(crate) fn connect(addr: &str, retry: &RetryPolicy) -> Result<TcpStream, ServiceFault> {
-    let stream = TcpStream::connect(addr).map_err(|e| ServiceFault::Io {
-        detail: format!("connect {addr}: {e}"),
+/// Why a connection failed. A refused connection is kept apart from
+/// every other fault: to a worker that has already reached its
+/// dispatcher, it means the dispatcher finished and exited.
+pub(crate) enum CallFault {
+    /// Nothing listens at the address.
+    Refused(ServiceFault),
+    /// Any other fault.
+    Other(ServiceFault),
+}
+
+impl From<CallFault> for ServiceFault {
+    fn from(fault: CallFault) -> ServiceFault {
+        match fault {
+            CallFault::Refused(fault) | CallFault::Other(fault) => fault,
+        }
+    }
+}
+
+/// Connect with the policy's read/write timeouts and `TCP_NODELAY`.
+fn connect(addr: &str, retry: &RetryPolicy) -> Result<TcpStream, CallFault> {
+    let stream = TcpStream::connect(addr).map_err(|e| {
+        let fault = ServiceFault::Io {
+            detail: format!("connect {addr}: {e}"),
+        };
+        if e.kind() == std::io::ErrorKind::ConnectionRefused {
+            CallFault::Refused(fault)
+        } else {
+            CallFault::Other(fault)
+        }
     })?;
     stream
         .set_read_timeout(Some(retry.io_timeout))
-        .map_err(|e| ServiceFault::Io {
-            detail: e.to_string(),
-        })?;
-    stream
-        .set_write_timeout(Some(retry.io_timeout))
-        .map_err(|e| ServiceFault::Io {
-            detail: e.to_string(),
+        .and_then(|()| stream.set_write_timeout(Some(retry.io_timeout)))
+        .map_err(|e| {
+            CallFault::Other(ServiceFault::Io {
+                detail: e.to_string(),
+            })
         })?;
     let _ = stream.set_nodelay(true);
     Ok(stream)
 }
 
+/// The one single-frame round trip: connect, send `frame`, read the
+/// reply.
+pub(crate) fn call_once(
+    addr: &str,
+    retry: &RetryPolicy,
+    frame: &WireMessage,
+) -> Result<WireMessage, CallFault> {
+    let mut stream = connect(addr, retry)?;
+    write_frame(&mut stream, &frame.encode())
+        .and_then(|()| read_reply(&mut stream))
+        .map_err(CallFault::Other)
+}
+
 /// Read one frame and decode it, treating a clean close mid-session
 /// as a retryable [`ServiceFault::Unavailable`], and a `Reject` frame
 /// as its reconstructed [`ServiceFault::Remote`].
-pub(crate) fn read_reply(stream: &mut TcpStream) -> Result<WireMessage, ServiceFault> {
+fn read_reply(stream: &mut TcpStream) -> Result<WireMessage, ServiceFault> {
     match read_frame(stream)? {
         None => Err(ServiceFault::Unavailable {
             detail: "connection closed before acknowledgement".to_string(),
@@ -858,7 +907,6 @@ fn send_framed(
     attempt: u64,
     injector: &WireInjector,
 ) -> Result<(), ServiceFault> {
-    use crate::wire::WireFault;
     let write = |stream: &mut TcpStream, bytes: &[u8]| -> Result<(), ServiceFault> {
         stream.write_all(bytes).map_err(|e| ServiceFault::Io {
             detail: e.to_string(),
@@ -919,11 +967,7 @@ fn try_submit_once(
     )?;
     let have: BTreeSet<u64> = match read_reply(&mut stream)? {
         WireMessage::BeginAck { have } => have.into_iter().collect(),
-        other => {
-            return Err(ServiceFault::Protocol {
-                detail: format!("expected BeginAck, got {}", frame_name(&other)),
-            })
-        }
+        other => return Err(unexpected("BeginAck", &other)),
     };
     let skipped = entries.keys().filter(|w| have.contains(w)).count() as u64;
     // The identity header rides first on every session, framed by the
@@ -952,16 +996,14 @@ fn try_submit_once(
     write_frame(&mut stream, &WireMessage::SubmitEnd { sent }.encode())?;
     match read_reply(&mut stream) {
         Ok(WireMessage::EndAck { accepted, missing }) => Ok((accepted, missing, skipped)),
-        Ok(other) => Err(ServiceFault::Protocol {
-            detail: format!("expected EndAck, got {}", frame_name(&other)),
-        }),
+        Ok(other) => Err(unexpected("EndAck", &other)),
         // With the identity header dropped in transit, the server refuses
         // the records behind it. That refusal is this session's injected
         // loss, not a client bug: retry, and the next attempt resends the
         // header. (Whether the refusal arrives, or a reset first, depends
         // only on timing.)
         Err(ServiceFault::Remote { message, .. })
-            if injector.plan(0, attempt) == Some(crate::wire::WireFault::Drop) =>
+            if injector.plan(0, attempt) == Some(WireFault::Drop) =>
         {
             Err(ServiceFault::Unavailable {
                 detail: format!("identity header dropped in transit; server: {message}"),
@@ -971,7 +1013,14 @@ fn try_submit_once(
     }
 }
 
-pub(crate) fn frame_name(message: &WireMessage) -> &'static str {
+/// The `Protocol` fault for a reply that is not the `expected` kind.
+pub(crate) fn unexpected(expected: &str, got: &WireMessage) -> ServiceFault {
+    ServiceFault::Protocol {
+        detail: format!("expected {expected}, got {}", frame_name(got)),
+    }
+}
+
+fn frame_name(message: &WireMessage) -> &'static str {
     match message {
         WireMessage::Record(_) => "Record",
         WireMessage::SubmitBegin { .. } => "SubmitBegin",
@@ -1032,46 +1081,32 @@ pub fn submit_journal(
         .into_iter()
         .filter(|(w, _)| range.owns(*w))
         .collect();
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let last = match try_submit_once(
+    retry.run(|attempt| {
+        let (accepted, missing, skipped) = try_submit_once(
             addr, shard, shards, expect, &entries, retry, injector, attempt,
-        ) {
-            Ok((accepted, missing, skipped)) => {
-                // Success = every window we can provide is persisted;
-                // windows the local journal never captured stay
-                // missing server-side by design.
-                if missing.iter().all(|w| !entries.contains_key(w)) {
-                    return Ok(SubmitOutcome {
-                        shard,
-                        assigned: range.window_count(),
-                        recovered: entries.len() as u64,
-                        accepted,
-                        attempts: attempt + 1,
-                        already_present: skipped,
-                        torn_records_dropped: recovery.torn_records_dropped,
-                        torn_bytes_dropped: recovery.torn_bytes_dropped,
-                    });
-                }
-                ServiceFault::Unavailable {
-                    detail: format!(
-                        "server still missing {} window(s) after acknowledgement",
-                        missing.len()
-                    ),
-                }
-            }
-            Err(fault) if !fault.retryable() => return Err(fault),
-            Err(fault) => fault,
-        };
-        if start.elapsed() >= retry.deadline {
+        )?;
+        // Success = every window we can provide is persisted; windows
+        // the local journal never captured stay missing server-side by
+        // design.
+        if missing.iter().any(|w| entries.contains_key(w)) {
             return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {last}"),
+                detail: format!(
+                    "server still missing {} window(s) after acknowledgement",
+                    missing.len()
+                ),
             });
         }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+        Ok(SubmitOutcome {
+            shard,
+            assigned: range.window_count(),
+            recovered: entries.len() as u64,
+            accepted,
+            attempts: attempt + 1,
+            already_present: skipped,
+            torn_records_dropped: recovery.torn_records_dropped,
+            torn_bytes_dropped: recovery.torn_bytes_dropped,
+        })
+    })
 }
 
 /// Query the service's rolling merged fit, retrying transport faults
@@ -1085,31 +1120,12 @@ pub fn submit_journal(
 /// [`ServiceFault::PartialCoverage`] is available from
 /// [`FitSnapshot::partial_fault`] for callers that refuse it.
 pub fn query_fit(addr: &str, retry: &RetryPolicy) -> Result<FitSnapshot, ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let outcome = connect(addr, retry).and_then(|mut stream| {
-            write_frame(&mut stream, &WireMessage::FitRequest.encode())?;
-            match read_reply(&mut stream)? {
-                WireMessage::FitResponse(snapshot) => Ok(snapshot),
-                other => Err(ServiceFault::Protocol {
-                    detail: format!("expected FitResponse, got {}", frame_name(&other)),
-                }),
-            }
-        });
-        let fault = match outcome {
-            Ok(snapshot) => return Ok(snapshot),
-            Err(fault) if !fault.retryable() => return Err(fault),
-            Err(fault) => fault,
-        };
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    retry.run(
+        |_| match call_once(addr, retry, &WireMessage::FitRequest)? {
+            WireMessage::FitResponse(snapshot) => Ok(snapshot),
+            other => Err(unexpected("FitResponse", &other)),
+        },
+    )
 }
 
 /// Ask the service to drain and shut down, retrying until the
@@ -1120,49 +1136,28 @@ pub fn query_fit(addr: &str, retry: &RetryPolicy) -> Result<FitSnapshot, Service
 /// [`ServiceFault::Unavailable`] when the service cannot be reached
 /// before the deadline.
 pub fn request_shutdown(addr: &str, retry: &RetryPolicy) -> Result<(), ServiceFault> {
-    let start = now();
-    let mut attempt = 0u64;
-    loop {
-        let outcome = connect(addr, retry).and_then(|mut stream| {
-            write_frame(&mut stream, &WireMessage::Shutdown.encode())?;
-            match read_reply(&mut stream)? {
-                WireMessage::ShutdownAck => Ok(()),
-                other => Err(ServiceFault::Protocol {
-                    detail: format!("expected ShutdownAck, got {}", frame_name(&other)),
-                }),
-            }
-        });
-        let fault = match outcome {
-            Ok(()) => return Ok(()),
-            Err(fault) if !fault.retryable() => return Err(fault),
-            Err(fault) => fault,
-        };
-        if start.elapsed() >= retry.deadline {
-            return Err(ServiceFault::Unavailable {
-                detail: format!("retry deadline elapsed; last fault: {fault}"),
-            });
-        }
-        std::thread::sleep(retry.backoff(attempt));
-        attempt += 1;
-    }
+    retry.run(|_| match call_once(addr, retry, &WireMessage::Shutdown)? {
+        WireMessage::ShutdownAck => Ok(()),
+        other => Err(unexpected("ShutdownAck", &other)),
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use palu_stats::summary::BinStats;
 
     /// An in-memory Read + Write stream: reads consume a scripted
     /// input, writes collect into an output buffer — so the full
     /// protocol runs with no sockets.
-    struct Duplex {
+    pub(crate) struct Duplex {
         input: Vec<u8>,
         read_at: usize,
         output: Vec<u8>,
     }
 
     impl Duplex {
-        fn new(input: Vec<u8>) -> Duplex {
+        pub(crate) fn new(input: Vec<u8>) -> Duplex {
             Duplex {
                 input,
                 read_at: 0,
@@ -1170,7 +1165,7 @@ mod tests {
             }
         }
 
-        fn replies(&self) -> Vec<WireMessage> {
+        pub(crate) fn replies(&self) -> Vec<WireMessage> {
             let mut out = Vec::new();
             let mut r = &self.output[..];
             while let Ok(Some(payload)) = read_frame(&mut r) {
@@ -1232,7 +1227,7 @@ mod tests {
         dir
     }
 
-    fn config(name: &str, windows: u64, shards: u64) -> ServiceConfig {
+    pub(crate) fn config(name: &str, windows: u64, shards: u64) -> ServiceConfig {
         ServiceConfig {
             measurement: Measurement::UndirectedDegree,
             expect: header(windows),

@@ -1049,6 +1049,42 @@ impl RetryPolicy {
         let capped = nanos.min(self.backoff_cap.as_nanos() as f64);
         std::time::Duration::from_nanos(capped as u64)
     }
+
+    /// The one client retry loop: run `attempt` (given its 0-based
+    /// index) until it succeeds, returning a non-retryable fault at
+    /// once and sleeping [`RetryPolicy::backoff`] between the others.
+    /// Once the deadline has passed, the last fault comes back wrapped
+    /// in [`ServiceFault::Unavailable`].
+    pub(crate) fn run<T>(
+        &self,
+        mut attempt: impl FnMut(u64) -> Result<T, ServiceFault>,
+    ) -> Result<T, ServiceFault> {
+        let start = now();
+        let mut index = 0u64;
+        loop {
+            let fault = match attempt(index) {
+                Ok(value) => return Ok(value),
+                Err(fault) if !fault.retryable() => return Err(fault),
+                Err(fault) => fault,
+            };
+            if start.elapsed() >= self.deadline {
+                return Err(ServiceFault::Unavailable {
+                    detail: format!("retry deadline elapsed; last fault: {fault}"),
+                });
+            }
+            std::thread::sleep(self.backoff(index));
+            index += 1;
+        }
+    }
+}
+
+/// Read the monotonic clock for retry pacing and lease deadlines.
+/// Confined here so the pragma is one auditable site.
+// Transport pacing only: the clock reading never reaches a numerical
+// result. lint:allow(R2)
+pub(crate) fn now() -> std::time::Instant {
+    // lint:allow(R2)
+    std::time::Instant::now()
 }
 
 /// One injected transport fault.
@@ -1504,5 +1540,44 @@ mod tests {
         }
         let other = RetryPolicy::fast(43);
         assert!((0..12).any(|a| retry.backoff(a) != other.backoff(a)));
+    }
+
+    #[test]
+    fn retry_driver_returns_at_success_or_a_non_retryable_fault() {
+        let retry = RetryPolicy {
+            backoff_base: std::time::Duration::ZERO,
+            backoff_cap: std::time::Duration::ZERO,
+            ..RetryPolicy::fast(1)
+        };
+        let mut attempts = 0;
+        let refused: Result<(), _> = retry.run(|_| {
+            attempts += 1;
+            Err(ServiceFault::WindowConflict { window: 3 })
+        });
+        assert_eq!(refused, Err(ServiceFault::WindowConflict { window: 3 }));
+        assert_eq!(attempts, 1);
+        let mut seen = Vec::new();
+        let out = retry.run(|attempt| {
+            seen.push(attempt);
+            match attempt {
+                0..=2 => Err(ServiceFault::Torn { bytes: 1 }),
+                _ => Ok(attempt),
+            }
+        });
+        assert_eq!((out, seen), (Ok(3), vec![0, 1, 2, 3]));
+    }
+
+    #[test]
+    fn retry_driver_past_its_deadline_names_the_last_fault() {
+        let retry = RetryPolicy {
+            deadline: std::time::Duration::ZERO,
+            ..RetryPolicy::fast(1)
+        };
+        let out: Result<(), _> = retry.run(|_| Err(ServiceFault::Deadline));
+        let detail = format!(
+            "retry deadline elapsed; last fault: {}",
+            ServiceFault::Deadline
+        );
+        assert_eq!(out, Err(ServiceFault::Unavailable { detail }));
     }
 }

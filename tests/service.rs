@@ -19,7 +19,8 @@
 //! 4. **Every torn submission prefix is typed** — mirroring the
 //!    journal prefix sweep, a session cut at any byte boundary leaves
 //!    the collector with either no fault or a typed `Torn`, never a
-//!    corrupted slot, and a clean retry converges.
+//!    corrupted slot, and a clean retry converges. A dispatcher, which
+//!    runs the same session loop, refuses each cut the same way.
 
 use palu_suite::prelude::*;
 
@@ -33,7 +34,8 @@ use palu_traffic::service::{
 };
 use palu_traffic::wire::{read_frame, write_frame, FitSnapshot, ServiceFault, WireMessage};
 use palu_traffic::{
-    FailurePolicy, InjectionSpec, Injector, Journal, JournalHeader, WireInjector, WireSpec,
+    DispatchConfig, Dispatcher, FailurePolicy, InjectionSpec, Injector, Journal, JournalHeader,
+    WireInjector, WireSpec,
 };
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -482,6 +484,15 @@ struct CannedConn {
     replies: Vec<u8>,
 }
 
+impl CannedConn {
+    fn new(input: &[u8]) -> CannedConn {
+        CannedConn {
+            input: std::io::Cursor::new(input.to_vec()),
+            replies: Vec::new(),
+        }
+    }
+}
+
 impl Read for CannedConn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         self.input.read(buf)
@@ -531,6 +542,10 @@ fn every_torn_submission_prefix_is_typed_and_retry_converges() {
     .expect("encode end");
 
     let collector = Collector::new(config(dir.join("server"), 1, 1.0)).expect("collector");
+    // The same sweep through a dispatcher over a second collector.
+    let dispatched = Collector::new(config(dir.join("dispatched"), 1, 1.0)).expect("collector");
+    let dispatcher =
+        Dispatcher::new(dispatched.clone(), DispatchConfig::fast()).expect("dispatcher");
     let boundaries = frame_boundaries(&session);
 
     // The exhaustive kill-point sweep, mirroring the journal prefix
@@ -538,11 +553,7 @@ fn every_torn_submission_prefix_is_typed_and_retry_converges() {
     // (frame boundary) or a typed torn frame — never an untyped error,
     // never a corrupted slot.
     for cut in 0..=session.len() {
-        let mut conn = CannedConn {
-            input: std::io::Cursor::new(session[..cut].to_vec()),
-            replies: Vec::new(),
-        };
-        let summary = collector.handle(&mut conn);
+        let summary = collector.handle(&mut CannedConn::new(&session[..cut]));
         let at_boundary = cut == 0 || boundaries.contains(&cut);
         match (&summary.fault, at_boundary) {
             (None, true) => {}
@@ -551,18 +562,20 @@ fn every_torn_submission_prefix_is_typed_and_retry_converges() {
                 panic!("cut at byte {cut} (boundary: {at_boundary}): unexpected outcome {fault:?}")
             }
         }
+        let routed = dispatcher.handle(&mut CannedConn::new(&session[..cut]));
+        assert_eq!(
+            routed.fault.as_ref().map(ServiceFault::name),
+            summary.fault.as_ref().map(ServiceFault::name),
+            "cut at byte {cut}: the dispatcher path differs"
+        );
     }
 
     // After the storm of torn sessions, one clean pass converges…
-    let mut conn = CannedConn {
-        input: std::io::Cursor::new(session.clone()),
-        replies: Vec::new(),
-    };
-    let summary = collector.handle(&mut conn);
+    let clean = collector.handle(&mut CannedConn::new(&session)).fault;
+    let routed = dispatcher.handle(&mut CannedConn::new(&session)).fault;
     assert!(
-        summary.fault.is_none(),
-        "clean session: {:?}",
-        summary.fault
+        clean.is_none() && routed.is_none(),
+        "{clean:?} / {routed:?}"
     );
 
     // …to a bit-identical fit, and the server-side journal replays
@@ -571,6 +584,11 @@ fn every_torn_submission_prefix_is_typed_and_retry_converges() {
     assert_snapshot_bit_identical(&snap, &reference, "after torn-prefix sweep");
     let report = collector.report();
     assert_eq!(report.covered, WINDOWS as u64);
+    assert_eq!(
+        format!("{:?}", dispatched.report()),
+        format!("{report:?}"),
+        "both paths account the sweep alike"
+    );
     drop(collector);
     let recovered = Journal::recover_file(
         &dir.join("server").join(shard_journal_name(1, 0)),
@@ -579,6 +597,22 @@ fn every_torn_submission_prefix_is_typed_and_retry_converges() {
     .expect("server journal replays");
     assert_eq!(recovered.windows.len(), WINDOWS);
     assert_eq!(recovered.torn_records_dropped, 0, "server journal is whole");
+
+    // Every cut of a lease request, the dispatcher's other first
+    // frame, is a clean disconnect or a typed torn frame too.
+    let mut lease = Vec::new();
+    write_frame(
+        &mut lease,
+        &WireMessage::LeaseRequest { worker: 3 }.encode(),
+    )
+    .expect("encode lease request");
+    for cut in 0..=lease.len() {
+        let summary = dispatcher.handle(&mut CannedConn::new(&lease[..cut]));
+        match (&summary.fault, cut == 0 || cut == lease.len()) {
+            (None, true) | (Some(ServiceFault::Torn { .. }), false) => {}
+            (fault, _) => panic!("lease request cut at byte {cut}: unexpected outcome {fault:?}"),
+        }
+    }
 }
 
 #[test]
@@ -610,11 +644,7 @@ fn resumed_client_whose_first_frame_is_already_persisted_stays_idempotent() {
     let collector = Collector::new(config(dir.join("server"), 1, 1.0)).expect("collector");
 
     // Session 1: a clean full submission persists every window.
-    let mut conn = CannedConn {
-        input: std::io::Cursor::new(session.clone()),
-        replies: Vec::new(),
-    };
-    let summary = collector.handle(&mut conn);
+    let summary = collector.handle(&mut CannedConn::new(&session));
     assert!(
         summary.fault.is_none(),
         "clean session: {:?}",
@@ -627,10 +657,7 @@ fn resumed_client_whose_first_frame_is_already_persisted_stays_idempotent() {
     // it sends is one the server already persisted. The BeginAck must
     // advertise the complete have-set, and the replayed records must
     // land as duplicates — never rejections, never double counts.
-    let mut conn = CannedConn {
-        input: std::io::Cursor::new(session),
-        replies: Vec::new(),
-    };
+    let mut conn = CannedConn::new(&session);
     let summary = collector.handle(&mut conn);
     assert!(
         summary.fault.is_none(),
