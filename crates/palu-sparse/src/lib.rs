@@ -42,7 +42,7 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use quantities::{NetworkQuantity, QuantityHistograms};
-pub use scratch::{CsrScratch, DegreeScratch};
+pub use scratch::{CsrScratch, DegreeScratch, EdgeKeys};
 
 /// Largest capacity *hint* honoured verbatim before admission-control
 /// accounting kicks in (4 Mi elements). Geometry-derived sizes below

@@ -1,6 +1,6 @@
 //! Reusable per-worker scratch buffers for the window hot path.
 //!
-//! The pipeline assembles and measures one matrix per window — at
+//! The pipeline measures one window per `N_V` packets — at
 //! observatory scale, millions of times. Building each window from
 //! fresh allocations (dense counting-sort buffers in
 //! [`CooMatrix::to_csr`](crate::coo::CooMatrix::to_csr), a
@@ -11,6 +11,11 @@
 //! through the per-window stages, so steady-state window processing
 //! performs no heap allocation beyond the result histograms
 //! themselves.
+//!
+//! [`DegreeScratch`] also holds the packet-level kernel, which pools
+//! a measurement straight from a window's packets in the hypersparse
+//! style: it pays for the entries the window holds, never for the size
+//! of the address space, and builds no matrix at all.
 //!
 //! All scratch-based computations are exact drop-in replacements:
 //! each produces a value **equal** to its allocating counterpart
@@ -67,18 +72,60 @@ impl CsrScratch {
     }
 }
 
+/// How [`DegreeScratch::key_pairs`] keys a window's `(src, dst)`
+/// packet pairs: the first phase of the packet-level kernel. Each
+/// keying is read by one counting phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeKeys {
+    /// `(min << 32) | max`, sorted and deduplicated: the window's
+    /// undirected edge set, read by
+    /// [`DegreeScratch::undirected_degree_of_keys`].
+    Undirected,
+    /// `(src << 32) | dst`, sorted: each run of equal keys is one of
+    /// the CSR's `(src, dst, count)` entries, in the CSR's order. Read
+    /// by [`DegreeScratch::quantity_of_keys`].
+    Directed,
+    /// `(src << 32) | dst` in packet order, read by
+    /// [`DegreeScratch::node_volume_of_keys`]: volume adds per packet,
+    /// so it needs no sort.
+    Packets,
+}
+
 /// Reusable buffers for allocation-free degree-histogram extraction.
 ///
-/// Replaces the per-window `BTreeMap<u32, BTreeSet<u32>>` partner
-/// tracking (one heap node per insert) with sort-based edge
-/// deduplication plus a *touched-list* count array: the dense
-/// per-node accumulator is sized once to the address space and only
-/// the entries a window actually touched are reset afterwards, so a
-/// sparse window never pays an `O(n_nodes)` clear.
+/// Two entry points share one counting implementation per
+/// measurement:
+///
+/// * the **packet-level kernel** — [`DegreeScratch::key_pairs`]
+///   packs a window's packets into sorted `u64` keys, then
+///   `*_of_keys` counts them — turns a packet buffer straight into a
+///   histogram with no COO or CSR, in `O(N_V log N_V)` per window;
+/// * the **CSR entry points** ([`DegreeScratch::undirected_degree_histogram`],
+///   [`DegreeScratch::node_volume_histogram`],
+///   [`DegreeScratch::quantity_histogram`]) feed an assembled matrix's
+///   entries into the same counting code.
+///
+/// So for any packet slice `ps`, the kernel's histogram equals the CSR
+/// entry point's on `ps` aggregated into a matrix.
+///
+/// Partner and volume counts use a *touched-list* accumulator: the
+/// dense per-node array is sized once to the largest node id seen,
+/// and only the entries a window actually touched are reset
+/// afterwards, so a sparse window never pays an `O(n_nodes)` clear.
 #[derive(Debug, Clone, Default)]
 pub struct DegreeScratch {
-    /// Normalized undirected edges, packed `(min << 32) | max`.
-    edges: Vec<u64>,
+    /// The keyed window: packed pairs, see [`EdgeKeys`].
+    keys: Vec<u64>,
+    /// Largest node id among the keyed pairs, plus one.
+    n_ids: usize,
+    /// The counting buffers.
+    tally: Tally,
+}
+
+/// The counting half of [`DegreeScratch`]: one method per
+/// measurement, fed by both entry points.
+#[derive(Debug, Clone, Default)]
+struct Tally {
     /// Per-window degree list; sorted before histogram construction.
     degrees: Vec<u64>,
     /// Dense per-node accumulator (partner counts or packet volumes).
@@ -87,8 +134,31 @@ pub struct DegreeScratch {
     touched: Vec<NodeId>,
 }
 
+/// Pack two node ids into one key that sorts by `upper`, then `lower`.
+fn pack(upper: NodeId, lower: NodeId) -> u64 {
+    (u64::from(upper) << 32) | u64::from(lower)
+}
+
+/// Inverse of [`pack`].
+fn unpack(key: u64) -> (NodeId, NodeId) {
+    ((key >> 32) as NodeId, key as NodeId)
+}
+
+/// Run-length sorted directed keys into `(src, dst, count)` entries.
+fn runs(keys: &[u64]) -> impl Iterator<Item = (NodeId, NodeId, Count)> + '_ {
+    keys.chunk_by(|a, b| a == b).filter_map(|run| {
+        let (src, dst) = unpack(*run.first()?);
+        Some((src, dst, run.len() as Count))
+    })
+}
+
+/// The address space a CSR's entries index into.
+fn dims(a: &CsrMatrix) -> usize {
+    a.n_rows().max(a.n_cols()) as usize
+}
+
 /// Add `v` to `counts[id]`, recording first touches in `touched`.
-/// Out-of-range ids are ignored (callers size `counts` to the matrix
+/// Out-of-range ids are ignored (callers size `counts` to the
 /// address space, so this is unreachable in practice — the guard
 /// replaces an indexing panic, not a behaviour).
 fn bump(counts: &mut [u64], touched: &mut Vec<NodeId>, id: NodeId, v: u64) {
@@ -100,38 +170,31 @@ fn bump(counts: &mut [u64], touched: &mut Vec<NodeId>, id: NodeId, v: u64) {
     }
 }
 
-impl DegreeScratch {
-    /// Create an empty scratch; buffers grow on first use and are
-    /// retained across windows.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Zero any accumulator residue without emitting degrees. A normal
-    /// call leaves `touched` empty so this is free; it matters when a
-    /// previous computation on this scratch panicked mid-accumulation
-    /// (the pipeline reuses arenas across `catch_unwind` boundaries)
-    /// and stale touched counts would otherwise leak into the next
-    /// window's histogram.
-    fn reset(&mut self) {
+impl Tally {
+    /// Start a window over `n_ids` node ids: zero any accumulator
+    /// residue, grow the dense accumulator, clear the degree list.
+    ///
+    /// A normal count leaves `touched` empty, so the reset is free; it
+    /// matters when a previous count on this scratch panicked
+    /// mid-accumulation (the pipeline reuses arenas across
+    /// `catch_unwind` boundaries) and stale touched counts would
+    /// otherwise leak into the next window's histogram.
+    fn begin(&mut self, n_ids: usize) {
         for &id in &self.touched {
             if let Some(c) = self.counts.get_mut(id as usize) {
                 *c = 0;
             }
         }
         self.touched.clear();
-    }
-
-    /// Grow the dense accumulator to cover `n` node ids.
-    fn ensure_counts(&mut self, n: usize) {
-        if self.counts.len() < n {
-            self.counts.resize(n, 0);
+        if self.counts.len() < n_ids {
+            self.counts.resize(n_ids, 0);
         }
+        self.degrees.clear();
     }
 
-    /// Move the touched counts into `degrees` (dropping zeros) and
-    /// reset exactly the touched entries.
-    fn drain_touched(&mut self) {
+    /// Move the touched counts into `degrees` (dropping zeros), reset
+    /// exactly the touched entries, and build the histogram.
+    fn drain_touched(&mut self) -> DegreeHistogram {
         for &id in &self.touched {
             if let Some(c) = self.counts.get_mut(id as usize) {
                 if *c > 0 {
@@ -141,6 +204,7 @@ impl DegreeScratch {
             }
         }
         self.touched.clear();
+        self.finish()
     }
 
     /// Sort the collected degrees and build the histogram via the
@@ -150,91 +214,170 @@ impl DegreeScratch {
         DegreeHistogram::from_sorted_degrees(&self.degrees)
     }
 
+    /// Distinct partners per node over a sorted, deduplicated
+    /// undirected edge set. A self-loop is one partner (the node
+    /// itself), matching partner-set semantics.
+    // lint:hot
+    fn undirected(&mut self, edges: &[u64], n_ids: usize) -> DegreeHistogram {
+        self.begin(n_ids);
+        for &e in edges {
+            let (lo, hi) = unpack(e);
+            bump(&mut self.counts, &mut self.touched, lo, 1);
+            if hi != lo {
+                bump(&mut self.counts, &mut self.touched, hi, 1);
+            }
+        }
+        self.drain_touched()
+    }
+
+    /// Packets each node sent or received: every entry adds its count
+    /// at both endpoints, so a self-loop counts twice.
+    // lint:hot
+    fn volume(
+        &mut self,
+        entries: impl Iterator<Item = (NodeId, NodeId, Count)>,
+        n_ids: usize,
+    ) -> DegreeHistogram {
+        self.begin(n_ids);
+        for (src, dst, v) in entries {
+            bump(&mut self.counts, &mut self.touched, src, v);
+            bump(&mut self.counts, &mut self.touched, dst, v);
+        }
+        self.drain_touched()
+    }
+
+    /// One Figure 1 quantity over `(src, dst, count)` entries grouped
+    /// by `src` (the CSR's row-major order). Source quantities read
+    /// each `src` run; destination quantities count per `dst`.
+    // lint:hot
+    fn quantity(
+        &mut self,
+        q: NetworkQuantity,
+        entries: impl Iterator<Item = (NodeId, NodeId, Count)>,
+        n_ids: usize,
+    ) -> DegreeHistogram {
+        match q {
+            NetworkQuantity::SourcePackets | NetworkQuantity::SourceFanOut => {
+                self.begin(0);
+                let packets = q == NetworkQuantity::SourcePackets;
+                let mut row = None;
+                let mut acc = 0;
+                for (src, _, v) in entries {
+                    if row != Some(src) {
+                        if acc > 0 {
+                            self.degrees.push(acc);
+                        }
+                        row = Some(src);
+                        acc = 0;
+                    }
+                    acc += if packets { v } else { 1 };
+                }
+                if acc > 0 {
+                    self.degrees.push(acc);
+                }
+                self.finish()
+            }
+            NetworkQuantity::LinkPackets => {
+                self.begin(0);
+                self.degrees.extend(entries.map(|(_, _, v)| v));
+                self.finish()
+            }
+            NetworkQuantity::DestinationFanIn | NetworkQuantity::DestinationPackets => {
+                self.begin(n_ids);
+                let packets = q == NetworkQuantity::DestinationPackets;
+                for (_, dst, v) in entries {
+                    let add = if packets { v } else { 1 };
+                    bump(&mut self.counts, &mut self.touched, dst, add);
+                }
+                self.drain_touched()
+            }
+        }
+    }
+}
+
+impl DegreeScratch {
+    /// Create an empty scratch; buffers grow on first use and are
+    /// retained across windows.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Phase one of the packet-level kernel (the window's edge set):
+    /// pack `pairs` into `u64` keys as `keys` says, sorting (and for
+    /// [`EdgeKeys::Undirected`], deduplicating) them. The matching
+    /// `*_of_keys` call then counts them.
+    // lint:hot
+    pub fn key_pairs(&mut self, keys: EdgeKeys, pairs: impl IntoIterator<Item = (NodeId, NodeId)>) {
+        self.keys.clear();
+        self.n_ids = 0;
+        let undirected = keys == EdgeKeys::Undirected;
+        for (src, dst) in pairs {
+            let (lo, hi) = if src <= dst { (src, dst) } else { (dst, src) };
+            self.n_ids = self.n_ids.max(hi as usize + 1);
+            let key = if undirected {
+                pack(lo, hi)
+            } else {
+                pack(src, dst)
+            };
+            self.keys.push(key);
+        }
+        match keys {
+            EdgeKeys::Undirected => {
+                self.keys.sort_unstable();
+                self.keys.dedup();
+            }
+            EdgeKeys::Directed => self.keys.sort_unstable(),
+            EdgeKeys::Packets => {}
+        }
+    }
+
+    /// Undirected-degree histogram of pairs keyed as
+    /// [`EdgeKeys::Undirected`].
+    pub fn undirected_degree_of_keys(&mut self) -> DegreeHistogram {
+        self.tally.undirected(&self.keys, self.n_ids)
+    }
+
+    /// Node-volume histogram of pairs keyed as [`EdgeKeys::Packets`]
+    /// (or [`EdgeKeys::Directed`]: volume ignores order).
+    pub fn node_volume_of_keys(&mut self) -> DegreeHistogram {
+        let entries = self.keys.iter().map(|&k| {
+            let (src, dst) = unpack(k);
+            (src, dst, 1)
+        });
+        self.tally.volume(entries, self.n_ids)
+    }
+
+    /// Figure 1 quantity histogram of pairs keyed as
+    /// [`EdgeKeys::Directed`].
+    pub fn quantity_of_keys(&mut self, q: NetworkQuantity) -> DegreeHistogram {
+        self.tally.quantity(q, runs(&self.keys), self.n_ids)
+    }
+
     /// Undirected-degree histogram of a window matrix: distinct
     /// partners per visible host. Equal to
     /// `PacketWindow::undirected_degree_histogram` output — a
     /// self-loop contributes exactly one partner (the host itself),
     /// matching the partner-set semantics.
     pub fn undirected_degree_histogram(&mut self, a: &CsrMatrix) -> DegreeHistogram {
-        self.reset();
-        self.edges.clear();
-        for (src, dst, _) in a.iter() {
-            let (lo, hi) = if src <= dst { (src, dst) } else { (dst, src) };
-            self.edges.push(((lo as u64) << 32) | hi as u64);
-        }
-        self.edges.sort_unstable();
-        self.edges.dedup();
-        self.ensure_counts(a.n_rows().max(a.n_cols()) as usize);
-        self.degrees.clear();
-        for &e in &self.edges {
-            let lo = (e >> 32) as NodeId;
-            let hi = (e & u32::MAX as u64) as NodeId;
-            bump(&mut self.counts, &mut self.touched, lo, 1);
-            if hi != lo {
-                bump(&mut self.counts, &mut self.touched, hi, 1);
-            }
-        }
-        self.drain_touched();
-        self.finish()
+        self.key_pairs(
+            EdgeKeys::Undirected,
+            a.iter().map(|(src, dst, _)| (src, dst)),
+        );
+        self.undirected_degree_of_keys()
     }
 
     /// Node-volume histogram: total packets each visible host sent or
     /// received. Equal to `PacketWindow::node_volume_histogram`
     /// output.
     pub fn node_volume_histogram(&mut self, a: &CsrMatrix) -> DegreeHistogram {
-        self.reset();
-        self.ensure_counts(a.n_rows().max(a.n_cols()) as usize);
-        self.degrees.clear();
-        for (src, dst, v) in a.iter() {
-            bump(&mut self.counts, &mut self.touched, src, v);
-            bump(&mut self.counts, &mut self.touched, dst, v);
-        }
-        self.drain_touched();
-        self.finish()
+        self.tally.volume(a.iter(), dims(a))
     }
 
     /// One Figure 1 quantity histogram, equal to
     /// [`NetworkQuantity::histogram`] on the same matrix but reusing
     /// this scratch's buffers.
     pub fn quantity_histogram(&mut self, q: NetworkQuantity, a: &CsrMatrix) -> DegreeHistogram {
-        self.reset();
-        self.degrees.clear();
-        match q {
-            NetworkQuantity::SourcePackets => {
-                for r in 0..a.n_rows() {
-                    let s = a.row_sum(r);
-                    if s > 0 {
-                        self.degrees.push(s);
-                    }
-                }
-            }
-            NetworkQuantity::SourceFanOut => {
-                for r in 0..a.n_rows() {
-                    let n = a.row_nnz(r);
-                    if n > 0 {
-                        self.degrees.push(n as u64);
-                    }
-                }
-            }
-            NetworkQuantity::LinkPackets => {
-                self.degrees.extend_from_slice(a.values());
-            }
-            NetworkQuantity::DestinationFanIn => {
-                self.ensure_counts(a.n_cols() as usize);
-                for (_, dst, _) in a.iter() {
-                    bump(&mut self.counts, &mut self.touched, dst, 1);
-                }
-                self.drain_touched();
-            }
-            NetworkQuantity::DestinationPackets => {
-                self.ensure_counts(a.n_cols() as usize);
-                for (_, dst, v) in a.iter() {
-                    bump(&mut self.counts, &mut self.touched, dst, v);
-                }
-                self.drain_touched();
-            }
-        }
-        self.finish()
+        self.tally.quantity(q, a.iter(), dims(a))
     }
 }
 
@@ -314,6 +457,85 @@ mod tests {
             // Twice: buffer residue must not leak between calls.
             assert_eq!(s.quantity_histogram(q, &a), q.histogram(&a), "{}", q.name());
         }
+    }
+
+    /// Every measurement through the packet-level kernel, in the
+    /// order `key_pairs` then `*_of_keys`.
+    fn kernel_histograms(s: &mut DegreeScratch, pairs: &[(u32, u32)]) -> Vec<DegreeHistogram> {
+        let pairs = || pairs.iter().copied();
+        s.key_pairs(EdgeKeys::Undirected, pairs());
+        let mut out = vec![s.undirected_degree_of_keys()];
+        s.key_pairs(EdgeKeys::Packets, pairs());
+        out.push(s.node_volume_of_keys());
+        for q in NetworkQuantity::ALL {
+            s.key_pairs(EdgeKeys::Directed, pairs());
+            out.push(s.quantity_of_keys(q));
+        }
+        out
+    }
+
+    /// The same measurements through the CSR entry points.
+    fn csr_histograms(pairs: &[(u32, u32)]) -> Vec<DegreeHistogram> {
+        let a = CooMatrix::from_packet_pairs(pairs.iter().copied()).to_csr();
+        let mut s = DegreeScratch::new();
+        let mut out = vec![
+            s.undirected_degree_histogram(&a),
+            s.node_volume_histogram(&a),
+        ];
+        out.extend(NetworkQuantity::ALL.map(|q| q.histogram(&a)));
+        out
+    }
+
+    #[test]
+    fn packet_kernel_matches_csr_entry_points() {
+        let mut s = DegreeScratch::new();
+        let windows: [&[(u32, u32)]; 5] = [
+            &[(0, 1), (0, 1), (0, 1), (0, 2), (5, 1), (5, 1), (5, 5)],
+            &[(9, 9), (9, 9), (1, 4), (4, 1)],
+            &[(3, 7)],
+            &[],
+            &[(0, 2_000_000), (2_000_000, 0), (17, 17)],
+        ];
+        for pairs in windows {
+            assert_eq!(
+                kernel_histograms(&mut s, pairs),
+                csr_histograms(pairs),
+                "{pairs:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn panic_mid_kernel_leaves_the_next_histogram_exact() {
+        let pairs = [(0u32, 1u32), (0, 1), (2, 1), (3, 3), (4, 0)];
+        let expected = csr_histograms(&pairs);
+        let mut s = DegreeScratch::new();
+        kernel_histograms(&mut s, &[(6, 6), (7, 6)]);
+        // A panic while keying: half the pairs are packed.
+        let keyed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut n = 0;
+            s.key_pairs(
+                EdgeKeys::Directed,
+                pairs.iter().copied().inspect(|_| {
+                    n += 1;
+                    assert!(n < 3, "injected panic while keying");
+                }),
+            );
+        }));
+        assert!(keyed.is_err());
+        assert_eq!(kernel_histograms(&mut s, &pairs), expected);
+        // A panic while counting: the dense accumulator holds touched
+        // counts that were never drained.
+        let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let entries = (0..10u32).map(|i| {
+                assert!(i < 6, "injected panic while counting");
+                (i % 4, 5 - i % 4, 1)
+            });
+            s.tally.volume(entries, 6)
+        }));
+        assert!(counted.is_err());
+        assert!(!s.tally.touched.is_empty());
+        assert_eq!(kernel_histograms(&mut s, &pairs), expected);
     }
 
     #[test]

@@ -23,9 +23,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum Stage {
     /// Drawing a window's `N_V` packets from the synthesizer.
     Synthesize,
-    /// Aggregating the packets into the sparse window matrix `A_t`.
+    /// Building the window's edge set `A_t` from its packets: the
+    /// packet-level kernel's key packing, sort and dedup (plus, for a
+    /// streamed capture, cutting the stream into the window).
     Window,
-    /// Reducing the matrix to the measurement's degree histogram.
+    /// Counting the edge set into the measurement's degree histogram.
     Histogram,
     /// Pooling the histogram into logarithmic bins `D_t(d_i)`.
     Bin,

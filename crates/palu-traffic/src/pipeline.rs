@@ -27,8 +27,10 @@ use crate::fault::{
 use crate::journal::{Journal, Recovery, WindowEntry, WindowResult};
 use crate::metrics::{time_stage, Metrics, Stage};
 use crate::observatory::Observatory;
+use crate::packets::Packet;
 use crate::window::PacketWindow;
 use palu_sparse::quantities::NetworkQuantity;
+use palu_sparse::{DegreeScratch, EdgeKeys};
 use palu_stats::histogram::DegreeHistogram;
 use palu_stats::logbin::DifferentialCumulative;
 use palu_stats::summary::BinStats;
@@ -67,7 +69,7 @@ impl Measurement {
     pub fn histogram_with(
         &self,
         w: &PacketWindow,
-        scratch: &mut palu_sparse::DegreeScratch,
+        scratch: &mut DegreeScratch,
     ) -> palu_stats::histogram::DegreeHistogram {
         match self {
             Measurement::Quantity(q) => scratch.quantity_histogram(*q, w.matrix()),
@@ -75,14 +77,51 @@ impl Measurement {
             Measurement::NodeVolume => w.node_volume_histogram_with(scratch),
         }
     }
+
+    /// The packet-level window kernel: this measurement's histogram
+    /// straight from a window's packets, with no COO or CSR. For every
+    /// packet slice the result **equals**
+    /// `self.histogram(&PacketWindow::from_packets(t, packets))`, in
+    /// `O(N_V log N_V)` work and no steady-state allocation.
+    pub fn histogram_of_packets(
+        &self,
+        packets: &[Packet],
+        scratch: &mut DegreeScratch,
+    ) -> DegreeHistogram {
+        self.histogram_of_packets_timed(packets, scratch, None)
+    }
+
+    /// [`Measurement::histogram_of_packets`], timing the keying phase
+    /// (the window's edge set) as [`Stage::Window`] and the counting
+    /// phase as [`Stage::Histogram`].
+    pub(crate) fn histogram_of_packets_timed(
+        &self,
+        packets: &[Packet],
+        scratch: &mut DegreeScratch,
+        metrics: Option<&Metrics>,
+    ) -> DegreeHistogram {
+        let keys = match self {
+            Measurement::Quantity(_) => EdgeKeys::Directed,
+            Measurement::UndirectedDegree => EdgeKeys::Undirected,
+            Measurement::NodeVolume => EdgeKeys::Packets,
+        };
+        time_stage(metrics, Stage::Window, || {
+            scratch.key_pairs(keys, packets.iter().map(|p| (p.src, p.dst)))
+        });
+        time_stage(metrics, Stage::Histogram, || match self {
+            Measurement::Quantity(q) => scratch.quantity_of_keys(*q),
+            Measurement::UndirectedDegree => scratch.undirected_degree_of_keys(),
+            Measurement::NodeVolume => scratch.node_volume_of_keys(),
+        })
+    }
 }
 
 /// Per-worker reusable buffers for the hot synthesize → window →
 /// histogram path. Each pipeline worker owns exactly one arena for its
 /// whole lifetime and threads it through every window (and retry
 /// attempt) it processes, so the steady state allocates nothing: the
-/// packet buffer, the COO staging triplets, the CSR conversion and
-/// output arrays, and the histogram accumulators are all recycled.
+/// packet buffer and the packet-level kernel's keys and accumulators
+/// are recycled. No window matrix is ever built.
 ///
 /// Crossing a `catch_unwind` boundary with the arena is sound: a
 /// panicked attempt can only leave stale buffer contents behind (never
@@ -91,13 +130,9 @@ impl Measurement {
 #[derive(Debug, Default)]
 struct WorkerArena {
     /// Synthesized packets for the current attempt.
-    packets: Vec<crate::packets::Packet>,
-    /// COO staging triplets, cleared per window.
-    coo: palu_sparse::CooMatrix,
-    /// CSR conversion buffers plus recycled output arrays.
-    csr: palu_sparse::CsrScratch,
-    /// Degree-histogram extraction buffers.
-    degree: palu_sparse::DegreeScratch,
+    packets: Vec<Packet>,
+    /// The packet-level kernel's keys and counting buffers.
+    degree: DegreeScratch,
 }
 
 impl WorkerArena {
@@ -1136,24 +1171,16 @@ fn run_window_attempt(
         // lint:allow(R8)
         panic!("injected fault: worker panic in window {t} (attempt {attempt})");
     }
-    let w = time_stage(metrics, Stage::Window, || {
-        PacketWindow::from_packets_with(t, &arena.packets, &mut arena.coo, &mut arena.csr)
-    })?;
-    let h = time_stage(metrics, Stage::Histogram, || {
-        measurement.histogram_with(&w, &mut arena.degree)
-    });
-    if w.n_v() > 0 && h.is_empty() {
+    let h = measurement.histogram_of_packets_timed(packets, &mut arena.degree, metrics);
+    if n_v > 0 && h.is_empty() {
         return Err(WindowFault::EmptyHistogram);
     }
     // Support-collapse heuristic: a real window of ≥ 16 packets never
     // concentrates on ≤ 2 histogram entries; a duplicate-edge storm
     // does.
-    if w.n_v() >= 16 && h.total() <= 2 {
+    if n_v >= 16 && h.total() <= 2 {
         return Err(WindowFault::Degenerate { support: h.total() });
     }
-    // The window is spent: every later stage reads only `h`. Hand its
-    // backing arrays back so the next window builds into them.
-    w.recycle(&mut arena.csr);
     let one = time_stage(metrics, Stage::Bin, || -> Result<BinStats, WindowFault> {
         let mut dc = DifferentialCumulative::from_histogram(&h);
         if plan == Some(InjectedFault::NanBin) && dc.n_bins() > 0 {

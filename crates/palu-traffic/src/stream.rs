@@ -8,10 +8,11 @@
 //! memory, and [`StreamStats`] folds windows directly into pooled
 //! statistics so arbitrarily long captures process in constant space.
 
-use crate::metrics::{Metrics, Stage};
+use crate::metrics::{time_stage, Metrics, Stage};
 use crate::packets::Packet;
 use crate::pipeline::{Measurement, Pipeline, PooledDistribution};
 use crate::window::PacketWindow;
+use palu_sparse::DegreeScratch;
 use palu_stats::logbin::DifferentialCumulative;
 
 /// Iterator adapter: cuts a packet stream into consecutive
@@ -61,7 +62,10 @@ impl<I: Iterator<Item = Packet>> Iterator for WindowStream<I> {
 
 /// Constant-space pooled statistics over a packet stream: the full
 /// Section II pipeline (window → pool → mean/σ) without ever holding
-/// more than one window.
+/// more than one window. Each window's `N_V` packets go through the
+/// packet-level kernel ([`Measurement::histogram_of_packets`]), so no
+/// window matrix is built; the pooled result equals pooling the
+/// [`WindowStream`] windows.
 pub struct StreamStats {
     pipeline: Pipeline,
 }
@@ -76,42 +80,61 @@ impl StreamStats {
 
     /// Consume a packet stream, pooling every complete window.
     /// Returns the pooled `D(d_i) ± σ(d_i)`.
-    pub fn consume<I: Iterator<Item = Packet>>(
-        mut self,
-        packets: I,
-        n_v: usize,
-    ) -> PooledDistribution {
-        for window in WindowStream::new(packets, n_v) {
-            self.pipeline.push_window(&window);
-        }
-        self.pipeline.finish()
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_v == 0`.
+    pub fn consume<I: Iterator<Item = Packet>>(self, packets: I, n_v: usize) -> PooledDistribution {
+        self.fold(packets, n_v, None)
     }
 
     /// [`StreamStats::consume`] with per-stage instrumentation: window
-    /// assembly, histogram reduction, binning, and merge wall-times
-    /// plus packet/window counters accumulate into `metrics`. (The
+    /// assembly (cutting the stream and keying the window's edge set),
+    /// histogram counting, binning, and merge wall-times plus
+    /// packet/window counters accumulate into `metrics`. (The
     /// synthesize stage belongs to the caller's packet iterator and is
     /// folded into the window-assembly time here.) The pooled result
     /// is identical to the uninstrumented path.
     pub fn consume_with_metrics<I: Iterator<Item = Packet>>(
-        mut self,
+        self,
         packets: I,
         n_v: usize,
         metrics: &Metrics,
     ) -> PooledDistribution {
         metrics.set_threads(1);
-        let mut stream = WindowStream::new(packets, n_v);
+        self.fold(packets, n_v, Some(metrics))
+    }
+
+    /// Cut `packets` into `n_v`-packet buffers, discarding a trailing
+    /// partial window, and pool each through the packet-level kernel.
+    fn fold<I: Iterator<Item = Packet>>(
+        mut self,
+        mut packets: I,
+        n_v: usize,
+        metrics: Option<&Metrics>,
+    ) -> PooledDistribution {
+        assert!(n_v > 0, "window size must be positive");
+        let measurement = self.pipeline.measurement();
+        let mut buffer = Vec::with_capacity(palu_sparse::admitted_capacity(n_v));
+        let mut scratch = DegreeScratch::new();
         loop {
-            let Some(window) = metrics.time(Stage::Window, || stream.next()) else {
-                break;
-            };
-            metrics.add_windows(1);
-            metrics.add_packets(window.n_v());
-            let h = metrics.time(Stage::Histogram, || {
-                self.pipeline.measurement().histogram(&window)
+            let full = time_stage(metrics, Stage::Window, || {
+                buffer.clear();
+                buffer.extend(packets.by_ref().take(n_v));
+                buffer.len() == n_v
             });
-            let binned = metrics.time(Stage::Bin, || DifferentialCumulative::from_histogram(&h));
-            metrics.time(Stage::Merge, || {
+            if !full {
+                break;
+            }
+            if let Some(m) = metrics {
+                m.add_windows(1);
+                m.add_packets(n_v as u64);
+            }
+            let h = measurement.histogram_of_packets_timed(&buffer, &mut scratch, metrics);
+            let binned = time_stage(metrics, Stage::Bin, || {
+                DifferentialCumulative::from_histogram(&h)
+            });
+            time_stage(metrics, Stage::Merge, || {
                 self.pipeline.push_binned(&binned, h.d_max())
             });
         }

@@ -2,6 +2,7 @@
 //! (`tests/proptest_traffic.rs`): the same invariants, driven by the
 //! in-repo deterministic RNG so they run in the offline build.
 
+use palu_sparse::{DegreeScratch, NetworkQuantity};
 use palu_stats::rng::{Rng, Xoshiro256pp};
 use palu_traffic::packets::Packet;
 use palu_traffic::pipeline::{Measurement, Pipeline};
@@ -109,5 +110,50 @@ fn compaction_preserves_all_statistics() {
             dense.quantities().link_packets,
             compact.quantities().link_packets
         );
+    }
+}
+
+/// The packet-level kernel equals the CSR path on every measurement,
+/// on one scratch reused across windows of different sizes and
+/// address spaces.
+#[test]
+fn packet_kernel_equals_the_csr_path() {
+    let mut measurements = vec![Measurement::UndirectedDegree, Measurement::NodeVolume];
+    measurements.extend(NetworkQuantity::ALL.map(Measurement::Quantity));
+    let mut rng = Xoshiro256pp::seed_from_u64(0x7005);
+    let mut inputs: Vec<Vec<Packet>> = vec![
+        Vec::new(),
+        vec![Packet { src: 3, dst: 3 }],
+        vec![Packet { src: 5, dst: 9 }; 40],
+    ];
+    for case in 0..CASES {
+        let mut ps = packets(&mut rng);
+        // Every third case spreads ids up to ~10^5 (both paths size a
+        // dense array to the largest id); the others keep the small
+        // space, where self-loops are common.
+        if case % 3 == 0 {
+            let offset = rng.gen_range(0u32..5_000);
+            for p in &mut ps {
+                p.src = p.src * 2_003 + offset;
+                p.dst = p.dst * 2_003 + offset;
+            }
+        }
+        // A run of identical packets inside a random window.
+        let at = rng.gen_range(0..ps.len());
+        let repeat = ps[at];
+        ps.splice(at..at, std::iter::repeat_n(repeat, 7));
+        inputs.push(ps);
+    }
+    let mut scratch = DegreeScratch::new();
+    for ps in &inputs {
+        let w = PacketWindow::from_packets(0, ps);
+        for m in &measurements {
+            assert_eq!(
+                m.histogram_of_packets(ps, &mut scratch),
+                m.histogram(&w),
+                "{m:?} over {} packets",
+                ps.len()
+            );
+        }
     }
 }

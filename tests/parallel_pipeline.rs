@@ -14,6 +14,7 @@
 //!    one instead of dividing by zero; with several windows the
 //!    inverse-variance weighting is preserved.
 
+use palu_sparse::NetworkQuantity;
 use palu_suite::prelude::*;
 use palu_traffic::observatory::ObservatoryConfig;
 use palu_traffic::packets::EdgeIntensity;
@@ -44,8 +45,19 @@ fn pool(
     threads: usize,
     metrics: Option<&Metrics>,
 ) -> PooledDistribution {
+    pool_measurement(Measurement::UndirectedDegree, obs, n, threads, metrics)
+}
+
+/// [`pool`] for any measurement.
+fn pool_measurement(
+    measurement: Measurement,
+    obs: &mut Observatory,
+    n: usize,
+    threads: usize,
+    metrics: Option<&Metrics>,
+) -> PooledDistribution {
     Pipeline::pool_observatory_durable(
-        Measurement::UndirectedDegree,
+        measurement,
         obs,
         n,
         threads,
@@ -73,26 +85,42 @@ fn parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads() {
     for threads in [1usize, 2, 3, 5, 7, 8, 96] {
         let mut obs = observatory(42, 5_000);
         let parallel = pool(&mut obs, WINDOWS, threads, None);
-        assert_eq!(parallel.windows, serial.windows, "threads = {threads}");
-        assert_eq!(parallel.d_max, serial.d_max, "threads = {threads}");
-        assert_eq!(
-            parallel.mean.n_bins(),
-            serial.mean.n_bins(),
-            "threads = {threads}"
-        );
-        for (i, ((_, got), (_, want))) in parallel.mean.iter().zip(serial.mean.iter()).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "mean bin {i} differs at {threads} threads"
-            );
-        }
-        for (i, (got, want)) in parallel.sigma.iter().zip(serial.sigma.iter()).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "sigma bin {i} differs at {threads} threads"
-            );
+        assert_bitwise_equal(&parallel, &serial, &format!("threads = {threads}"));
+    }
+}
+
+/// Window count, `d_max`, and every mean and sigma bin compared by bits.
+fn assert_bitwise_equal(got: &PooledDistribution, want: &PooledDistribution, what: &str) {
+    assert_eq!(got.windows, want.windows, "{what}");
+    assert_eq!(got.d_max, want.d_max, "{what}");
+    assert_eq!(got.mean.n_bins(), want.mean.n_bins(), "{what}");
+    assert_eq!(got.sigma.len(), want.sigma.len(), "{what}");
+    for (i, ((_, g), (_, w))) in got.mean.iter().zip(want.mean.iter()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "mean bin {i} differs, {what}");
+    }
+    for (i, (g, w)) in got.sigma.iter().zip(want.sigma.iter()).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "sigma bin {i} differs, {what}");
+    }
+}
+
+/// The engine pools each window through the packet-level kernel; the
+/// serial reference pools CSR windows. They must agree bit for bit on
+/// all seven measurements.
+#[test]
+fn engine_equals_the_csr_reference_for_every_measurement() {
+    const WINDOWS: usize = 12;
+    let windows: Vec<PacketWindow> = {
+        let obs = observatory(21, 4_000);
+        (0..WINDOWS as u64).map(|t| obs.window_at(t)).collect()
+    };
+    let mut measurements = vec![Measurement::UndirectedDegree, Measurement::NodeVolume];
+    measurements.extend(NetworkQuantity::ALL.map(Measurement::Quantity));
+    for m in measurements {
+        let serial = Pipeline::pool(m, &windows);
+        for threads in [1usize, 2, 8] {
+            let mut obs = observatory(21, 4_000);
+            let parallel = pool_measurement(m, &mut obs, WINDOWS, threads, None);
+            assert_bitwise_equal(&parallel, &serial, &format!("{m:?} at {threads} threads"));
         }
     }
 }
@@ -110,6 +138,7 @@ fn metrics_snapshot_counts_the_parallel_workload() {
     // Every per-window stage saw work; only the merge runs on the main
     // thread and may be too fast to register on a coarse clock.
     assert!(snap.synthesize_ns > 0);
+    assert!(snap.window_ns > 0);
     assert!(snap.histogram_ns > 0);
 }
 
