@@ -128,8 +128,10 @@ sed -n '/"fault_report"/,$p' "$jr_dir/resumed.json" >"$jr_dir/resumed_report.jso
 diff "$jr_dir/ref_report.json" "$jr_dir/resumed_report.json"
 recovered=$(grep '"windows_recovered"' "$jr_dir/resumed.json" | head -1 | tr -dc '0-9')
 echo "crash recovery: resume replayed ${recovered:-0} journaled window(s), output bit-identical"
-if [ "${recovered:-0}" = 0 ]; then
-    echo "ci: resume should replay at least one journaled window" >&2
+# Both bounds, or the smoke passes vacuously: 0 means the kill landed
+# before any record, 64 (every window) means it landed after the last.
+if [ "${recovered:-0}" -le 0 ] || [ "${recovered:-0}" -ge 64 ]; then
+    echo "ci: resume should replay some but not all of the 64 windows, replayed ${recovered:-0}" >&2
     exit 1
 fi
 

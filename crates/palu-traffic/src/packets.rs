@@ -8,6 +8,21 @@
 //! conversation with probability `1 − (1 − w_e)^{N_V}` — which is how
 //! the model's abstract edge-retention probability `p` emerges from a
 //! concrete packet budget.
+//!
+//! **Cost per draw.** A packet costs two RNG outputs and one lookup in
+//! the cumulative intensity table. The lookup is Chen & Asau's (1974)
+//! indexed search: a guide table of one `u32` per conversation maps
+//! the uniform's bucket `⌊x · E / total⌋` to a start from which a
+//! short forward scan finds the conversation — O(1) expected steps
+//! and cache misses for any intensity (at most one step under uniform
+//! intensity), against the `log₂ E` dependent probes of a binary
+//! search. It returns the very index the binary search returns, so
+//! the packets are the same byte for byte. [`PacketSynthesizer::draw_many_into`]
+//! batches its draws in blocks whose guide loads, scans and
+//! conversation gathers each run as one pass of independent loads,
+//! so their cache misses overlap. Measured on a 2-vCPU x86-64 host,
+//! one thread, networks of 10⁵–10⁶ conversations: 23–39 ns per
+//! packet, against 125–170 ns for the binary search.
 
 use crate::fault::WindowFault;
 use palu_graph::graph::Graph;
@@ -38,6 +53,15 @@ pub enum EdgeIntensity {
     },
 }
 
+/// Packets per block in [`PacketSynthesizer::draw_many_into`]: the
+/// draws of one block run phase by phase (uniforms, guide entries,
+/// scans, gathers) so each phase's independent loads overlap their
+/// cache misses. The block lives in stack arrays.
+/// `tests/packet_bytes.rs` checks `draw_many_into` against a `draw`
+/// loop for every `n ≤ 300`, which covers the block edges while
+/// `3 · BLOCK + 7 ≤ 300`.
+const BLOCK: usize = 64;
+
 /// Draws packets from a network's conversations.
 #[derive(Debug, Clone)]
 pub struct PacketSynthesizer {
@@ -45,6 +69,11 @@ pub struct PacketSynthesizer {
     conversations: Vec<(u32, u32)>,
     /// Cumulative intensity table for weighted sampling.
     cumulative: Vec<f64>,
+    /// Chen–Asau guide table: `guide[j]` is the first `i` with
+    /// `bucket(cumulative[i]) ≥ j`, one entry per conversation.
+    guide: Vec<u32>,
+    /// Bucket scale `s = E / total`, shared by build and lookup.
+    scale: f64,
     intensity: EdgeIntensity,
 }
 
@@ -58,35 +87,67 @@ impl PacketSynthesizer {
     ///
     /// # Panics
     ///
-    /// Panics if `g` has no edges (no traffic to synthesize) or the
-    /// Pareto shape is not positive.
+    /// Panics if `g` has no edges (no traffic to synthesize), has more
+    /// than `u32::MAX` edges (the guide table indexes conversations
+    /// with `u32`), or the Pareto shape is not positive.
     pub fn new<R: Rng + ?Sized>(g: &Graph, intensity: EdgeIntensity, rng: &mut R) -> Self {
         assert!(
             g.n_edges() > 0,
             "cannot synthesize traffic from an edgeless network"
         );
+        assert!(
+            u32::try_from(g.n_edges()).is_ok(),
+            "more conversations than the guide table can index"
+        );
         let conversations: Vec<(u32, u32)> = g.edges().to_vec();
-        let weights: Vec<f64> = match intensity {
-            EdgeIntensity::Uniform => vec![1.0; conversations.len()],
+        let e = conversations.len();
+        let mut cumulative = Vec::with_capacity(palu_sparse::admitted_capacity(e));
+        let mut acc = 0.0;
+        match intensity {
+            EdgeIntensity::Uniform => cumulative.extend((0..e).map(|_| {
+                acc += 1.0;
+                acc
+            })),
             EdgeIntensity::Pareto { shape } => {
                 assert!(shape > 0.0, "Pareto shape must be positive");
-                (0..conversations.len())
-                    .map(|_| {
-                        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                        u.powf(-1.0 / shape) // Pareto(scale=1, shape)
-                    })
-                    .collect()
+                cumulative.extend((0..e).map(|_| {
+                    let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                    acc += u.powf(-1.0 / shape); // Pareto(scale=1, shape)
+                    acc
+                }));
             }
-        };
-        let mut cumulative = Vec::with_capacity(palu_sparse::admitted_capacity(weights.len()));
-        let mut acc = 0.0;
-        for w in weights {
-            acc += w;
-            cumulative.push(acc);
         }
+        Self::from_cumulative(conversations, cumulative, intensity)
+    }
+
+    /// Finish construction: build the guide table over `cumulative`
+    /// (non-decreasing; empty only in tests) in one forward pass.
+    fn from_cumulative(
+        conversations: Vec<(u32, u32)>,
+        cumulative: Vec<f64>,
+        intensity: EdgeIntensity,
+    ) -> Self {
+        let e = cumulative.len();
+        let last = e.saturating_sub(1);
+        let scale = e as f64 / cumulative.last().copied().unwrap_or(0.0);
+        let mut i = 0;
+        let guide = (0..e)
+            .map(|j| {
+                while i < last
+                    && cumulative
+                        .get(i)
+                        .is_some_and(|&c| bucket(c, scale, last) < j)
+                {
+                    i += 1;
+                }
+                i as u32
+            })
+            .collect();
         PacketSynthesizer {
             conversations,
             cumulative,
+            guide,
+            scale,
             intensity,
         }
     }
@@ -99,6 +160,49 @@ impl PacketSynthesizer {
     /// The intensity model in use.
     pub fn intensity(&self) -> EdgeIntensity {
         self.intensity
+    }
+
+    /// The conversation a uniform `x ∈ [0, total]` selects: exactly
+    /// `cumulative.partition_point(|&c| c < x).min(E − 1)`.
+    /// `draw_many_into` runs the same two halves as separate passes.
+    // lint:hot
+    fn pick(&self, x: f64) -> usize {
+        self.scan(self.start(x), x)
+    }
+
+    /// The guide table's start for `x`. Every conversation below it
+    /// has `bucket(cumulative[i]) < bucket(x)`, hence (`bucket` being
+    /// monotone) `cumulative[i] < x`: the start never passes the
+    /// answer. Starting at 0 would be exact too, only slower.
+    fn start(&self, x: f64) -> usize {
+        let last = self.guide.len().saturating_sub(1);
+        self.guide
+            .get(bucket(x, self.scale, last))
+            .map_or(0, |&i| i as usize)
+    }
+
+    /// Step forward from `i` to the first conversation whose
+    /// cumulative intensity reaches `x`, stopping at the last one.
+    // lint:hot
+    fn scan(&self, mut i: usize, x: f64) -> usize {
+        let last = self.cumulative.len().saturating_sub(1);
+        while i < last && self.cumulative.get(i).is_some_and(|&c| c < x) {
+            i += 1;
+        }
+        i
+    }
+
+    /// The packet conversation `idx` yields, oriented by `forward`.
+    fn packet(&self, idx: usize, forward: bool) -> Result<Packet, WindowFault> {
+        let &(u, v) = self
+            .conversations
+            .get(idx)
+            .ok_or(WindowFault::EmptySynthesizer)?;
+        Ok(if forward {
+            Packet { src: u, dst: v }
+        } else {
+            Packet { src: v, dst: u }
+        })
     }
 
     /// Draw one packet: pick a conversation by intensity, orient it
@@ -115,16 +219,8 @@ impl PacketSynthesizer {
             return Err(WindowFault::EmptySynthesizer);
         };
         let x = rng.gen::<f64>() * total;
-        let idx = self
-            .cumulative
-            .partition_point(|&c| c < x)
-            .min(self.conversations.len() - 1);
-        let (u, v) = self.conversations[idx];
-        Ok(if rng.gen::<bool>() {
-            Packet { src: u, dst: v }
-        } else {
-            Packet { src: v, dst: u }
-        })
+        let idx = self.pick(x);
+        self.packet(idx, rng.gen::<bool>())
     }
 
     /// Draw `n` packets into a vector.
@@ -143,15 +239,17 @@ impl PacketSynthesizer {
     }
 
     /// Draw `n` packets into a caller-provided buffer, clearing it
-    /// first. Consumes the RNG in exactly the same order as
-    /// [`PacketSynthesizer::draw_many`], so a worker that reuses one
-    /// buffer across windows produces bit-identical packets to one
+    /// first. Consumes the RNG in exactly the same order as `n` calls
+    /// of [`PacketSynthesizer::draw`] (an `f64` then a `bool` per
+    /// packet) and yields the same packets, so a worker that reuses
+    /// one buffer across windows produces bit-identical packets to one
     /// that allocates fresh vectors. On a fault the buffer holds the
     /// packets drawn so far; callers must not read it after an `Err`.
     ///
     /// # Errors
     ///
     /// Propagates [`PacketSynthesizer::draw`]'s fault.
+    // lint:hot
     pub fn draw_many_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -159,9 +257,33 @@ impl PacketSynthesizer {
         out: &mut Vec<Packet>,
     ) -> Result<(), WindowFault> {
         out.clear();
+        if n == 0 {
+            return Ok(());
+        }
+        let Some(&total) = self.cumulative.last() else {
+            return Err(WindowFault::EmptySynthesizer);
+        };
         out.reserve(palu_sparse::admitted_capacity(n));
-        for _ in 0..n {
-            out.push(self.draw(rng)?);
+        let mut xs = [0.0f64; BLOCK];
+        let mut forward = [false; BLOCK];
+        let mut idx = [0usize; BLOCK];
+        let mut left = n;
+        while left > 0 {
+            let len = left.min(BLOCK);
+            left -= len;
+            for (x, f) in xs.iter_mut().zip(forward.iter_mut()).take(len) {
+                *x = rng.gen::<f64>() * total;
+                *f = rng.gen::<bool>();
+            }
+            for (i, &x) in idx.iter_mut().zip(xs.iter()).take(len) {
+                *i = self.start(x);
+            }
+            for (i, &x) in idx.iter_mut().zip(xs.iter()).take(len) {
+                *i = self.scan(*i, x);
+            }
+            for (&i, &f) in idx.iter().zip(forward.iter()).take(len) {
+                out.push(self.packet(i, f)?);
+            }
         }
         Ok(())
     }
@@ -190,6 +312,14 @@ impl PacketSynthesizer {
     }
 }
 
+/// Guide bucket of `x`: `min(⌊x · s⌋, E − 1)`, with `last = E − 1`.
+/// Build and lookup evaluate this one f64 expression, so it is
+/// monotone in `x` (a saturating cast floors non-negative values and
+/// maps NaN to 0). `bucket(total) = E − 1`, the last bucket.
+fn bucket(x: f64, scale: f64, last: usize) -> usize {
+    ((x * scale) as usize).min(last)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +332,103 @@ mod tests {
             g.add_edge(i, (i + 1) % n);
         }
         g
+    }
+
+    /// A synthesizer over raw weights (zeros allowed); conversation
+    /// `i` is `(i, i + 1)`.
+    fn from_weights(weights: &[f64]) -> PacketSynthesizer {
+        let mut acc = 0.0;
+        let cumulative = weights
+            .iter()
+            .map(|w| {
+                acc += w;
+                acc
+            })
+            .collect();
+        let conversations = (0..weights.len() as u32).map(|i| (i, i + 1)).collect();
+        PacketSynthesizer::from_cumulative(conversations, cumulative, EdgeIntensity::Uniform)
+    }
+
+    /// `pick` against the binary-search reference at random `x`, at 0
+    /// and `total`, and at, just below and just above every
+    /// cumulative value.
+    fn assert_pick_is_exact(weights: &[f64], seed: u64) {
+        let syn = from_weights(weights);
+        let cum = &syn.cumulative;
+        let total = *cum.last().unwrap();
+        let reference = |x: f64| cum.partition_point(|&c| c < x).min(cum.len() - 1);
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let random = (0..2000).map(|_| rng.gen::<f64>() * total);
+        let edges = cum.iter().flat_map(|&c| [c, c.next_down(), c.next_up()]);
+        for x in random.chain([0.0, total]).chain(edges) {
+            assert_eq!(
+                syn.pick(x),
+                reference(x),
+                "x = {x:e}, {} weights",
+                weights.len()
+            );
+        }
+    }
+
+    #[test]
+    fn pick_matches_partition_point_on_uniform_weights() {
+        assert_pick_is_exact(&[1.0; 1000], 1);
+    }
+
+    #[test]
+    fn pick_matches_partition_point_across_zero_weight_runs() {
+        assert_pick_is_exact(&[0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 3.0, 0.0, 0.0], 2);
+        let mut rng = Xoshiro256pp::seed_from_u64(3);
+        let sparse: Vec<f64> = (0..3000)
+            .map(|_| {
+                if rng.gen_bool(0.8) {
+                    0.0
+                } else {
+                    rng.gen::<f64>()
+                }
+            })
+            .collect();
+        assert_pick_is_exact(&sparse, 4);
+    }
+
+    #[test]
+    fn pick_matches_partition_point_on_a_single_conversation() {
+        assert_pick_is_exact(&[5.0], 5);
+        assert_pick_is_exact(&[0.0], 6);
+    }
+
+    #[test]
+    fn pick_matches_partition_point_on_a_skewed_table() {
+        let mut weights = vec![1.0; 1000];
+        weights[500] = 1e12;
+        assert_pick_is_exact(&weights, 7);
+        weights.swap(500, 0);
+        assert_pick_is_exact(&weights, 8);
+        weights.swap(0, 999);
+        assert_pick_is_exact(&weights, 9);
+    }
+
+    #[test]
+    fn pick_matches_partition_point_on_pareto_weights() {
+        let mut rng = Xoshiro256pp::seed_from_u64(10);
+        let weights: Vec<f64> = (0..5000)
+            .map(|_| rng.gen::<f64>().max(f64::MIN_POSITIVE).powf(-1.0 / 1.2))
+            .collect();
+        assert_pick_is_exact(&weights, 11);
+    }
+
+    #[test]
+    fn an_empty_synthesizer_faults_only_when_asked_for_packets() {
+        let syn = from_weights(&[]);
+        let mut rng = Xoshiro256pp::seed_from_u64(13);
+        let mut out = vec![Packet { src: 1, dst: 2 }];
+        assert_eq!(syn.draw_many_into(&mut rng, 0, &mut out), Ok(()));
+        assert!(out.is_empty());
+        assert_eq!(
+            syn.draw_many_into(&mut rng, 1, &mut out),
+            Err(WindowFault::EmptySynthesizer)
+        );
+        assert_eq!(syn.draw(&mut rng), Err(WindowFault::EmptySynthesizer));
     }
 
     #[test]
