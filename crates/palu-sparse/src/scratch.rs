@@ -17,6 +17,15 @@
 //! style: it pays for the entries the window holds, never for the size
 //! of the address space, and builds no matrix at all.
 //!
+//! The undirected keying finds a window's distinct edges in an
+//! open-addressing hash table of packed `u64` keys (power-of-two
+//! capacity, Fibonacci hash, linear probing) that the scratch keeps
+//! between windows. The table doubles once its distinct keys pass half
+//! its capacity, and it is emptied at the **start** of every keying,
+//! so a keying that panicked part-way cannot leak its keys into the
+//! next window. Its work is expected `O(1)` per packet and its memory
+//! scales with the window's distinct edges, not with `N_V`.
+//!
 //! All scratch-based computations are exact drop-in replacements:
 //! each produces a value **equal** to its allocating counterpart
 //! (same `BTreeMap` contents for histograms, same CSR arrays), which
@@ -77,8 +86,8 @@ impl CsrScratch {
 /// keying is read by one counting phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeKeys {
-    /// `(min << 32) | max`, sorted and deduplicated: the window's
-    /// undirected edge set, read by
+    /// `(min << 32) | max`, deduplicated, in first-seen order: the
+    /// window's undirected edge set, read by
     /// [`DegreeScratch::undirected_degree_of_keys`].
     Undirected,
     /// `(src << 32) | dst`, sorted: each run of equal keys is one of
@@ -97,9 +106,11 @@ pub enum EdgeKeys {
 /// measurement:
 ///
 /// * the **packet-level kernel** — [`DegreeScratch::key_pairs`]
-///   packs a window's packets into sorted `u64` keys, then
-///   `*_of_keys` counts them — turns a packet buffer straight into a
-///   histogram with no COO or CSR, in `O(N_V log N_V)` per window;
+///   packs a window's packets into `u64` keys, then `*_of_keys`
+///   counts them — turns a packet buffer straight into a histogram
+///   with no COO or CSR, in expected `O(N_V)` per window for the
+///   undirected degree and node volume, and `O(N_V log N_V)` for the
+///   Figure 1 quantities, whose directed keys are sorted;
 /// * the **CSR entry points** ([`DegreeScratch::undirected_degree_histogram`],
 ///   [`DegreeScratch::node_volume_histogram`],
 ///   [`DegreeScratch::quantity_histogram`]) feed an assembled matrix's
@@ -116,10 +127,95 @@ pub enum EdgeKeys {
 pub struct DegreeScratch {
     /// The keyed window: packed pairs, see [`EdgeKeys`].
     keys: Vec<u64>,
+    /// The undirected keying's set of keys already in `keys`.
+    table: EdgeTable,
     /// Largest node id among the keyed pairs, plus one.
     n_ids: usize,
     /// The counting buffers.
     tally: Tally,
+}
+
+/// Slot value of an empty [`EdgeTable`] slot. It equals
+/// `pack(u32::MAX, u32::MAX)`, so that one key is kept out of band.
+const VACANT: u64 = u64::MAX;
+
+/// log2 of a fresh [`EdgeTable`]'s slot count.
+const INITIAL_BITS: u32 = 10;
+
+/// An [`EdgeTable`] doubles once its keys pass `1 / LOAD_DIVISOR` of
+/// its slots.
+const LOAD_DIVISOR: usize = 2;
+
+/// Fibonacci hashing multiplier: `2^64` over the golden ratio.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// An open-addressing hash set of packed undirected edge keys:
+/// `1 << bits` slots, linear probing, doubled once the keys it holds
+/// pass the load bound.
+#[derive(Debug, Clone, Default)]
+struct EdgeTable {
+    /// Each slot holds a key or [`VACANT`].
+    slots: Vec<u64>,
+    /// log2 of `slots.len()`.
+    bits: u32,
+    /// Whether the key equal to [`VACANT`] (the self-loop at id
+    /// `u32::MAX`) is in the set.
+    holds_vacant: bool,
+}
+
+impl EdgeTable {
+    /// Empty the set, allocating the initial slots on first use.
+    fn reset(&mut self) {
+        if self.slots.is_empty() {
+            self.bits = INITIAL_BITS;
+            self.slots.resize(1 << INITIAL_BITS, VACANT);
+        } else {
+            self.slots.fill(VACANT);
+        }
+        self.holds_vacant = false;
+    }
+
+    /// Whether `len` keys are past the load bound.
+    fn is_over_loaded(&self, len: usize) -> bool {
+        len > self.slots.len() / LOAD_DIVISOR
+    }
+
+    /// Add `key`; `true` if it was not in the set yet.
+    // lint:hot
+    fn insert(&mut self, key: u64) -> bool {
+        if key == VACANT {
+            return !std::mem::replace(&mut self.holds_vacant, true);
+        }
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut i = (key.wrapping_mul(FIBONACCI) >> (64 - self.bits)) as usize;
+        // `reset` makes the slot count `1 << bits`, so `i` stays in
+        // range and a slot is always found.
+        while let Some(slot) = self.slots.get_mut(i) {
+            if *slot == key {
+                return false;
+            }
+            if *slot == VACANT {
+                *slot = key;
+                return true;
+            }
+            i = (i + 1) & mask;
+        }
+        true
+    }
+
+    /// Double the slot count and re-insert `keys`, the set's contents.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, keys: &[u64]) {
+        self.bits += 1;
+        self.slots.clear();
+        self.slots.resize(1 << self.bits, VACANT);
+        for &key in keys {
+            if key != VACANT {
+                self.insert(key);
+            }
+        }
+    }
 }
 
 /// The counting half of [`DegreeScratch`]: one method per
@@ -130,8 +226,12 @@ struct Tally {
     degrees: Vec<u64>,
     /// Dense per-node accumulator (partner counts or packet volumes).
     counts: Vec<u64>,
-    /// Node ids with a nonzero entry in `counts` this window.
+    /// `touched[..live]` lists the node ids given an entry in
+    /// `counts` this window; the rest is write space, sized before
+    /// each count so a first touch is a store, not a push.
     touched: Vec<NodeId>,
+    /// Length of the live prefix of `touched`.
+    live: usize,
 }
 
 /// Pack two node ids into one key that sorts by `upper`, then `lower`.
@@ -157,45 +257,60 @@ fn dims(a: &CsrMatrix) -> usize {
     a.n_rows().max(a.n_cols()) as usize
 }
 
-/// Add `v` to `counts[id]`, recording first touches in `touched`.
-/// Out-of-range ids are ignored (callers size `counts` to the
-/// address space, so this is unreachable in practice — the guard
-/// replaces an indexing panic, not a behaviour).
-fn bump(counts: &mut [u64], touched: &mut Vec<NodeId>, id: NodeId, v: u64) {
-    if let Some(c) = counts.get_mut(id as usize) {
-        if *c == 0 {
-            touched.push(id);
-        }
-        *c += v;
-    }
-}
-
 impl Tally {
-    /// Start a window over `n_ids` node ids: zero any accumulator
-    /// residue, grow the dense accumulator, clear the degree list.
+    /// Start a window over `n_ids` node ids in which at most `bumps`
+    /// counts are bumped: zero any accumulator residue, grow the dense
+    /// accumulator and the touched list's write space, clear the
+    /// degree list.
     ///
-    /// A normal count leaves `touched` empty, so the reset is free; it
+    /// A normal count leaves no live prefix, so the reset is free; it
     /// matters when a previous count on this scratch panicked
     /// mid-accumulation (the pipeline reuses arenas across
     /// `catch_unwind` boundaries) and stale touched counts would
     /// otherwise leak into the next window's histogram.
-    fn begin(&mut self, n_ids: usize) {
-        for &id in &self.touched {
+    fn begin(&mut self, n_ids: usize, bumps: usize) {
+        for &id in self.touched.iter().take(self.live) {
             if let Some(c) = self.counts.get_mut(id as usize) {
                 *c = 0;
             }
         }
-        self.touched.clear();
+        self.live = 0;
+        // A window touches at most min(ids, bumps) ids; the extra slot
+        // takes the store a repeat touch makes past the live prefix.
+        let space = n_ids.min(bumps) + 1;
+        if self.touched.len() < space {
+            self.touched.resize(space, 0);
+        }
         if self.counts.len() < n_ids {
             self.counts.resize(n_ids, 0);
         }
         self.degrees.clear();
     }
 
+    /// Add `v` to `counts[id]`. Every call stores `id` just past the
+    /// live prefix of `touched` and extends the prefix over it on a
+    /// first touch: a store and an add in place of a branch the data
+    /// cannot predict. A bump by 0 leaves the count at 0, so the id
+    /// can be listed again and outrun the write space; it is then
+    /// pushed. Out-of-range ids are ignored (callers size
+    /// `counts` to the address space, so this is unreachable in
+    /// practice — the guard replaces an indexing panic, not a
+    /// behaviour).
+    fn bump(&mut self, id: NodeId, v: u64) {
+        if let Some(c) = self.counts.get_mut(id as usize) {
+            match self.touched.get_mut(self.live) {
+                Some(slot) => *slot = id,
+                None => self.touched.push(id),
+            }
+            self.live += usize::from(*c == 0);
+            *c += v;
+        }
+    }
+
     /// Move the touched counts into `degrees` (dropping zeros), reset
     /// exactly the touched entries, and build the histogram.
     fn drain_touched(&mut self) -> DegreeHistogram {
-        for &id in &self.touched {
+        for &id in self.touched.iter().take(self.live) {
             if let Some(c) = self.counts.get_mut(id as usize) {
                 if *c > 0 {
                     self.degrees.push(*c);
@@ -203,7 +318,7 @@ impl Tally {
                 *c = 0;
             }
         }
-        self.touched.clear();
+        self.live = 0;
         self.finish()
     }
 
@@ -214,51 +329,55 @@ impl Tally {
         DegreeHistogram::from_sorted_degrees(&self.degrees)
     }
 
-    /// Distinct partners per node over a sorted, deduplicated
-    /// undirected edge set. A self-loop is one partner (the node
+    /// Distinct partners per node over a deduplicated undirected edge
+    /// set, in any order. A self-loop is one partner (the node
     /// itself), matching partner-set semantics.
     // lint:hot
     fn undirected(&mut self, edges: &[u64], n_ids: usize) -> DegreeHistogram {
-        self.begin(n_ids);
+        self.begin(n_ids, 2 * edges.len());
         for &e in edges {
             let (lo, hi) = unpack(e);
-            bump(&mut self.counts, &mut self.touched, lo, 1);
+            self.bump(lo, 1);
             if hi != lo {
-                bump(&mut self.counts, &mut self.touched, hi, 1);
+                self.bump(hi, 1);
             }
         }
         self.drain_touched()
     }
 
-    /// Packets each node sent or received: every entry adds its count
-    /// at both endpoints, so a self-loop counts twice.
+    /// Packets each node sent or received over at most `n_entries`
+    /// entries: every entry adds its count at both endpoints, so a
+    /// self-loop counts twice.
     // lint:hot
     fn volume(
         &mut self,
         entries: impl Iterator<Item = (NodeId, NodeId, Count)>,
+        n_entries: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
-        self.begin(n_ids);
+        self.begin(n_ids, 2 * n_entries);
         for (src, dst, v) in entries {
-            bump(&mut self.counts, &mut self.touched, src, v);
-            bump(&mut self.counts, &mut self.touched, dst, v);
+            self.bump(src, v);
+            self.bump(dst, v);
         }
         self.drain_touched()
     }
 
-    /// One Figure 1 quantity over `(src, dst, count)` entries grouped
-    /// by `src` (the CSR's row-major order). Source quantities read
-    /// each `src` run; destination quantities count per `dst`.
+    /// One Figure 1 quantity over at most `n_entries` `(src, dst,
+    /// count)` entries grouped by `src` (the CSR's row-major order).
+    /// Source quantities read each `src` run; destination quantities
+    /// count per `dst`.
     // lint:hot
     fn quantity(
         &mut self,
         q: NetworkQuantity,
         entries: impl Iterator<Item = (NodeId, NodeId, Count)>,
+        n_entries: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
         match q {
             NetworkQuantity::SourcePackets | NetworkQuantity::SourceFanOut => {
-                self.begin(0);
+                self.begin(0, 0);
                 let packets = q == NetworkQuantity::SourcePackets;
                 let mut row = None;
                 let mut acc = 0;
@@ -278,16 +397,15 @@ impl Tally {
                 self.finish()
             }
             NetworkQuantity::LinkPackets => {
-                self.begin(0);
+                self.begin(0, 0);
                 self.degrees.extend(entries.map(|(_, _, v)| v));
                 self.finish()
             }
             NetworkQuantity::DestinationFanIn | NetworkQuantity::DestinationPackets => {
-                self.begin(n_ids);
+                self.begin(n_ids, n_entries);
                 let packets = q == NetworkQuantity::DestinationPackets;
                 for (_, dst, v) in entries {
-                    let add = if packets { v } else { 1 };
-                    bump(&mut self.counts, &mut self.touched, dst, add);
+                    self.bump(dst, if packets { v } else { 1 });
                 }
                 self.drain_touched()
             }
@@ -303,31 +421,35 @@ impl DegreeScratch {
     }
 
     /// Phase one of the packet-level kernel (the window's edge set):
-    /// pack `pairs` into `u64` keys as `keys` says, sorting (and for
-    /// [`EdgeKeys::Undirected`], deduplicating) them. The matching
+    /// pack `pairs` into `u64` keys as `keys` says — for
+    /// [`EdgeKeys::Undirected`] deduplicating them through the edge
+    /// table, for [`EdgeKeys::Directed`] sorting them. The matching
     /// `*_of_keys` call then counts them.
     // lint:hot
     pub fn key_pairs(&mut self, keys: EdgeKeys, pairs: impl IntoIterator<Item = (NodeId, NodeId)>) {
         self.keys.clear();
         self.n_ids = 0;
-        let undirected = keys == EdgeKeys::Undirected;
-        for (src, dst) in pairs {
-            let (lo, hi) = if src <= dst { (src, dst) } else { (dst, src) };
-            self.n_ids = self.n_ids.max(hi as usize + 1);
-            let key = if undirected {
-                pack(lo, hi)
-            } else {
-                pack(src, dst)
-            };
-            self.keys.push(key);
-        }
-        match keys {
-            EdgeKeys::Undirected => {
-                self.keys.sort_unstable();
-                self.keys.dedup();
+        if keys == EdgeKeys::Undirected {
+            self.table.reset();
+            for (src, dst) in pairs {
+                let (lo, hi) = if src <= dst { (src, dst) } else { (dst, src) };
+                self.n_ids = self.n_ids.max(hi as usize + 1);
+                let key = pack(lo, hi);
+                if self.table.insert(key) {
+                    self.keys.push(key);
+                    if self.table.is_over_loaded(self.keys.len()) {
+                        self.table.grow(&self.keys);
+                    }
+                }
             }
-            EdgeKeys::Directed => self.keys.sort_unstable(),
-            EdgeKeys::Packets => {}
+            return;
+        }
+        for (src, dst) in pairs {
+            self.n_ids = self.n_ids.max(src.max(dst) as usize + 1);
+            self.keys.push(pack(src, dst));
+        }
+        if keys == EdgeKeys::Directed {
+            self.keys.sort_unstable();
         }
     }
 
@@ -344,13 +466,14 @@ impl DegreeScratch {
             let (src, dst) = unpack(k);
             (src, dst, 1)
         });
-        self.tally.volume(entries, self.n_ids)
+        self.tally.volume(entries, self.keys.len(), self.n_ids)
     }
 
     /// Figure 1 quantity histogram of pairs keyed as
     /// [`EdgeKeys::Directed`].
     pub fn quantity_of_keys(&mut self, q: NetworkQuantity) -> DegreeHistogram {
-        self.tally.quantity(q, runs(&self.keys), self.n_ids)
+        self.tally
+            .quantity(q, runs(&self.keys), self.keys.len(), self.n_ids)
     }
 
     /// Undirected-degree histogram of a window matrix: distinct
@@ -370,14 +493,14 @@ impl DegreeScratch {
     /// received. Equal to `PacketWindow::node_volume_histogram`
     /// output.
     pub fn node_volume_histogram(&mut self, a: &CsrMatrix) -> DegreeHistogram {
-        self.tally.volume(a.iter(), dims(a))
+        self.tally.volume(a.iter(), a.nnz(), dims(a))
     }
 
     /// One Figure 1 quantity histogram, equal to
     /// [`NetworkQuantity::histogram`] on the same matrix but reusing
     /// this scratch's buffers.
     pub fn quantity_histogram(&mut self, q: NetworkQuantity, a: &CsrMatrix) -> DegreeHistogram {
-        self.tally.quantity(q, a.iter(), dims(a))
+        self.tally.quantity(q, a.iter(), a.nnz(), dims(a))
     }
 }
 
@@ -511,19 +634,25 @@ mod tests {
         let expected = csr_histograms(&pairs);
         let mut s = DegreeScratch::new();
         kernel_histograms(&mut s, &[(6, 6), (7, 6)]);
-        // A panic while keying: half the pairs are packed.
-        let keyed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut n = 0;
-            s.key_pairs(
-                EdgeKeys::Directed,
-                pairs.iter().copied().inspect(|_| {
-                    n += 1;
-                    assert!(n < 3, "injected panic while keying");
-                }),
-            );
-        }));
-        assert!(keyed.is_err());
-        assert_eq!(kernel_histograms(&mut s, &pairs), expected);
+        // A panic part-way through a sorted and a hashed keying: three
+        // of the five pairs are packed (and, undirected, inserted in
+        // the edge table), and the next window keys the same pairs, so
+        // it meets keys the table already held.
+        for keys in [EdgeKeys::Directed, EdgeKeys::Undirected] {
+            let keyed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut n = 0;
+                s.key_pairs(
+                    keys,
+                    pairs.iter().copied().inspect(|_| {
+                        n += 1;
+                        assert!(n < 4, "injected panic while keying");
+                    }),
+                );
+            }));
+            assert!(keyed.is_err());
+            assert!(!s.keys.is_empty());
+            assert_eq!(kernel_histograms(&mut s, &pairs), expected, "{keys:?}");
+        }
         // A panic while counting: the dense accumulator holds touched
         // counts that were never drained.
         let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -531,11 +660,119 @@ mod tests {
                 assert!(i < 6, "injected panic while counting");
                 (i % 4, 5 - i % 4, 1)
             });
-            s.tally.volume(entries, 6)
+            s.tally.volume(entries, 10, 6)
         }));
         assert!(counted.is_err());
-        assert!(!s.tally.touched.is_empty());
+        assert!(s.tally.live > 0);
         assert_eq!(kernel_histograms(&mut s, &pairs), expected);
+    }
+
+    /// The window's distinct undirected keys in first-seen order.
+    fn first_seen_keys(pairs: &[(u32, u32)]) -> Vec<u64> {
+        let mut seen = std::collections::BTreeSet::new();
+        pairs
+            .iter()
+            .map(|&(a, b)| pack(a.min(b), a.max(b)))
+            .filter(|&k| seen.insert(k))
+            .collect()
+    }
+
+    /// Key `pairs` undirected on `s` and check the edge set against a
+    /// sort + dedup reference and the first-seen order.
+    fn assert_edge_set(s: &mut DegreeScratch, pairs: &[(u32, u32)]) {
+        s.key_pairs(EdgeKeys::Undirected, pairs.iter().copied());
+        let mut reference: Vec<u64> = pairs
+            .iter()
+            .map(|&(a, b)| pack(a.min(b), a.max(b)))
+            .collect();
+        reference.sort_unstable();
+        reference.dedup();
+        let mut got = s.keys.clone();
+        got.sort_unstable();
+        assert_eq!(got, reference, "{} pairs", pairs.len());
+        assert_eq!(s.keys, first_seen_keys(pairs), "{} pairs", pairs.len());
+    }
+
+    /// A window of `distinct` distinct undirected edges over ids below
+    /// `span`, each sent `copies` times in a random direction, in a
+    /// shuffled order.
+    fn window_of(
+        rng: &mut palu_stats::rng::Xoshiro256pp,
+        distinct: usize,
+        copies: usize,
+        span: u32,
+    ) -> Vec<(u32, u32)> {
+        use palu_stats::rng::Rng;
+        let mut edges = std::collections::BTreeSet::new();
+        while edges.len() < distinct {
+            let (a, b) = (rng.gen_range(0..span), rng.gen_range(0..span));
+            edges.insert((a.min(b), a.max(b)));
+        }
+        let mut pairs: Vec<(u32, u32)> = edges
+            .iter()
+            .flat_map(|&e| std::iter::repeat_n(e, copies))
+            .map(|(a, b)| if rng.gen_bool(0.5) { (a, b) } else { (b, a) })
+            .collect();
+        for i in (1..pairs.len()).rev() {
+            pairs.swap(i, rng.gen_range(0..i + 1));
+        }
+        pairs
+    }
+
+    #[test]
+    fn edge_table_matches_sort_dedup_across_growth() {
+        let mut rng = palu_stats::rng::Xoshiro256pp::seed_from_u64(0x5eed);
+        let mut s = DegreeScratch::new();
+        let bound = (1usize << INITIAL_BITS) / LOAD_DIVISOR;
+        // Distinct counts from 0 through several doublings of the
+        // table (it grows past the load bound), then small again.
+        let mut sweep = vec![0, 1, 2, 7];
+        for b in [bound, 2 * bound, 4 * bound, 8 * bound] {
+            sweep.extend([b - 1, b, b + 1]);
+        }
+        sweep.extend([40_000, 5, 0, 1, bound + 1, 3]);
+        for &d in &sweep {
+            let pairs = window_of(&mut rng, d, 1, 4_096);
+            assert_edge_set(&mut s, &pairs);
+            if d < 5_000 {
+                assert_eq!(kernel_histograms(&mut s, &pairs), csr_histograms(&pairs));
+            }
+        }
+        // Duplicate-heavy windows: about 4 packets per edge.
+        for d in [300, 3_000, 20_000] {
+            let pairs = window_of(&mut rng, d, 4, 6_000);
+            assert_edge_set(&mut s, &pairs);
+            assert_eq!(kernel_histograms(&mut s, &pairs), csr_histograms(&pairs));
+        }
+        // Self-loops, alone and among other edges.
+        let loops: Vec<(u32, u32)> = (0..2_000u32).map(|i| (i % 700, i % 700)).collect();
+        assert_edge_set(&mut s, &loops);
+        assert_eq!(kernel_histograms(&mut s, &loops), csr_histograms(&loops));
+        let mut mixed = window_of(&mut rng, 900, 2, 1_000);
+        mixed.extend(loops.iter().take(600));
+        assert_edge_set(&mut s, &mixed);
+        assert_eq!(kernel_histograms(&mut s, &mixed), csr_histograms(&mixed));
+    }
+
+    #[test]
+    fn edge_table_keeps_the_vacant_key_out_of_band() {
+        // `pack(u32::MAX, u32::MAX)` equals the empty-slot value. Only
+        // the keying is checked: 2^32 ids cannot size the accumulator.
+        let top = u32::MAX;
+        let mut s = DegreeScratch::new();
+        assert_edge_set(&mut s, &[(top, top), (top, top)]);
+        assert_eq!(s.keys, [VACANT]);
+        assert_eq!(s.n_ids, 1 << 32);
+        let mut rng = palu_stats::rng::Xoshiro256pp::seed_from_u64(0xface);
+        let mut pairs = window_of(&mut rng, 1_500, 1, 1 << 30);
+        pairs.insert(700, (top, top));
+        pairs.insert(20, (top, top));
+        pairs.push((top, 0));
+        pairs.push((0, top));
+        assert_edge_set(&mut s, &pairs);
+        // The next window starts without it.
+        assert_edge_set(&mut s, &[(1, 2), (2, 1)]);
+        assert_eq!(s.keys, [pack(1, 2)]);
     }
 
     #[test]

@@ -81,8 +81,10 @@ impl Measurement {
     /// The packet-level window kernel: this measurement's histogram
     /// straight from a window's packets, with no COO or CSR. For every
     /// packet slice the result **equals**
-    /// `self.histogram(&PacketWindow::from_packets(t, packets))`, in
-    /// `O(N_V log N_V)` work and no steady-state allocation.
+    /// `self.histogram(&PacketWindow::from_packets(t, packets))`, with
+    /// no steady-state allocation, in expected `O(N_V)` work for the
+    /// undirected degree and node volume (`O(N_V log N_V)` for the
+    /// Figure 1 quantities, whose directed keys are sorted).
     pub fn histogram_of_packets(
         &self,
         packets: &[Packet],

@@ -113,6 +113,27 @@ fn compaction_preserves_all_statistics() {
     }
 }
 
+/// A shuffled window of exactly `distinct` distinct undirected edges,
+/// each sent 1–3 times in a random direction.
+fn distinct_edges(rng: &mut Xoshiro256pp, distinct: usize) -> Vec<Packet> {
+    let mut edges = std::collections::BTreeSet::new();
+    while edges.len() < distinct {
+        let (a, b) = (rng.gen_range(0u32..3_000), rng.gen_range(0u32..3_000));
+        edges.insert((a.min(b), a.max(b)));
+    }
+    let mut ps = Vec::new();
+    for (a, b) in edges {
+        for _ in 0..rng.gen_range(1usize..4) {
+            let (src, dst) = if rng.gen_bool(0.5) { (a, b) } else { (b, a) };
+            ps.push(Packet { src, dst });
+        }
+    }
+    for i in (1..ps.len()).rev() {
+        ps.swap(i, rng.gen_range(0..i + 1));
+    }
+    ps
+}
+
 /// The packet-level kernel equals the CSR path on every measurement,
 /// on one scratch reused across windows of different sizes and
 /// address spaces.
@@ -143,6 +164,15 @@ fn packet_kernel_equals_the_csr_path() {
         let repeat = ps[at];
         ps.splice(at..at, std::iter::repeat_n(repeat, 7));
         inputs.push(ps);
+    }
+    // The undirected keying's edge table starts at 1024 slots and
+    // doubles once its distinct keys pass half of them: windows whose
+    // distinct-edge counts land just below, at and above the first
+    // growth boundaries, with 1–3 packets per edge.
+    for boundary in [512, 1_024, 2_048, 4_096] {
+        for distinct in [boundary - 1, boundary, boundary + 1] {
+            inputs.push(distinct_edges(&mut rng, distinct));
+        }
     }
     let mut scratch = DegreeScratch::new();
     for ps in &inputs {
