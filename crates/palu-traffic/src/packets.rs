@@ -9,20 +9,30 @@
 //! the model's abstract edge-retention probability `p` emerges from a
 //! concrete packet budget.
 //!
-//! **Cost per draw.** A packet costs two RNG outputs and one lookup in
-//! the cumulative intensity table. The lookup is Chen & Asau's (1974)
-//! indexed search: a guide table of one `u32` per conversation maps
-//! the uniform's bucket `⌊x · E / total⌋` to a start from which a
-//! short forward scan finds the conversation — O(1) expected steps
-//! and cache misses for any intensity (at most one step under uniform
-//! intensity), against the `log₂ E` dependent probes of a binary
-//! search. It returns the very index the binary search returns, so
-//! the packets are the same byte for byte. [`PacketSynthesizer::draw_many_into`]
-//! batches its draws in blocks whose guide loads, scans and
-//! conversation gathers each run as one pass of independent loads,
-//! so their cache misses overlap. Measured on a 2-vCPU x86-64 host,
-//! one thread, networks of 10⁵–10⁶ conversations: 23–39 ns per
-//! packet, against 125–170 ns for the binary search.
+//! **Cost per draw.** A packet costs two RNG outputs, one resolution
+//! of the uniform `x ∈ [0, total]` to a conversation index, and one
+//! gather from the conversation array. Every resolution returns
+//! exactly `cumulative.partition_point(|&c| c < x).min(E − 1)` over
+//! the cumulative intensity table, so the packets are the same byte
+//! for byte as a binary search's.
+//!
+//! - Under uniform intensity that table is `1, 2, …, E`, and the
+//!   index is `⌈x⌉ − 1` (0 at `x = 0`), computed in closed form with
+//!   no table and no load.
+//! - Under weighted intensity the lookup is Chen & Asau's (1974)
+//!   indexed search: a guide table of one `u32` per conversation maps
+//!   the uniform's bucket `⌊x · E / total⌋` to a start from which a
+//!   short forward scan finds the conversation — O(1) expected steps
+//!   and cache misses for any intensity, against the `log₂ E`
+//!   dependent probes of a binary search.
+//!
+//! [`PacketSynthesizer::draw_many_into`] batches its draws in blocks
+//! whose resolutions and conversation gathers each run as one pass of
+//! independent loads, so their cache misses overlap. Measured on a
+//! shared 2-vCPU x86-64 host, one thread, 225k conversations: 12–23 ns
+//! per packet under uniform intensity in closed form, against 22–58 ns
+//! through a guide table over the same uniform table, 36–67 ns under
+//! Pareto(1.5) intensity, and 125–170 ns for the binary search.
 
 use crate::fault::WindowFault;
 use palu_graph::graph::Graph;
@@ -54,9 +64,9 @@ pub enum EdgeIntensity {
 }
 
 /// Packets per block in [`PacketSynthesizer::draw_many_into`]: the
-/// draws of one block run phase by phase (uniforms, guide entries,
-/// scans, gathers) so each phase's independent loads overlap their
-/// cache misses. The block lives in stack arrays.
+/// draws of one block run phase by phase (uniforms, resolutions,
+/// gathers) so each phase's independent loads overlap their cache
+/// misses. The block lives in stack arrays.
 /// `tests/packet_bytes.rs` checks `draw_many_into` against a `draw`
 /// loop for every `n ≤ 300`, which covers the block edges while
 /// `3 · BLOCK + 7 ≤ 300`.
@@ -67,14 +77,37 @@ const BLOCK: usize = 64;
 pub struct PacketSynthesizer {
     /// Conversation endpoints (one per underlying edge).
     conversations: Vec<(u32, u32)>,
-    /// Cumulative intensity table for weighted sampling.
+    /// How a uniform `x ∈ [0, total]` resolves to a conversation.
+    lookup: Lookup,
+    /// Total intensity: the last cumulative value, `E` under uniform
+    /// intensity (0 only for an empty test synthesizer).
+    total: f64,
+    intensity: EdgeIntensity,
+}
+
+/// The conversation lookup, fixed by the [`EdgeIntensity`] at
+/// construction.
+#[derive(Debug, Clone)]
+enum Lookup {
+    /// Uniform intensity: the cumulative table would be `1, 2, …, E`,
+    /// so [`uniform_index`] resolves `x` in closed form. No
+    /// per-conversation table.
+    Uniform,
+    /// Weighted intensity: the cumulative table and its guide.
+    Weighted(GuideTable),
+}
+
+/// Chen–Asau indexed search over a cumulative intensity table.
+#[derive(Debug, Clone)]
+struct GuideTable {
+    /// Cumulative intensity table (non-decreasing; empty only in
+    /// tests).
     cumulative: Vec<f64>,
-    /// Chen–Asau guide table: `guide[j]` is the first `i` with
-    /// `bucket(cumulative[i]) ≥ j`, one entry per conversation.
+    /// `guide[j]` is the first `i` with `bucket(cumulative[i]) ≥ j`,
+    /// one entry per conversation.
     guide: Vec<u32>,
     /// Bucket scale `s = E / total`, shared by build and lookup.
     scale: f64,
-    intensity: EdgeIntensity,
 }
 
 impl PacketSynthesizer {
@@ -83,13 +116,15 @@ impl PacketSynthesizer {
     /// For [`EdgeIntensity::Pareto`], per-edge weights are drawn once
     /// here (they are a property of the underlying network, constant
     /// across windows — the paper's premise that the underlying network
-    /// is fixed while windows vary).
+    /// is fixed while windows vary). [`EdgeIntensity::Uniform`] draws
+    /// nothing and builds no table.
     ///
     /// # Panics
     ///
     /// Panics if `g` has no edges (no traffic to synthesize), has more
     /// than `u32::MAX` edges (the guide table indexes conversations
-    /// with `u32`), or the Pareto shape is not positive.
+    /// with `u32`, and the uniform total `E` must be an exact `f64`),
+    /// or the Pareto shape is not positive.
     pub fn new<R: Rng + ?Sized>(g: &Graph, intensity: EdgeIntensity, rng: &mut R) -> Self {
         assert!(
             g.n_edges() > 0,
@@ -101,26 +136,28 @@ impl PacketSynthesizer {
         );
         let conversations: Vec<(u32, u32)> = g.edges().to_vec();
         let e = conversations.len();
-        let mut cumulative = Vec::with_capacity(palu_sparse::admitted_capacity(e));
-        let mut acc = 0.0;
         match intensity {
-            EdgeIntensity::Uniform => cumulative.extend((0..e).map(|_| {
-                acc += 1.0;
-                acc
-            })),
+            EdgeIntensity::Uniform => PacketSynthesizer {
+                total: e as f64,
+                conversations,
+                lookup: Lookup::Uniform,
+                intensity,
+            },
             EdgeIntensity::Pareto { shape } => {
                 assert!(shape > 0.0, "Pareto shape must be positive");
+                let mut cumulative = Vec::with_capacity(palu_sparse::admitted_capacity(e));
+                let mut acc = 0.0;
                 cumulative.extend((0..e).map(|_| {
                     let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
                     acc += u.powf(-1.0 / shape); // Pareto(scale=1, shape)
                     acc
                 }));
+                Self::from_cumulative(conversations, cumulative, intensity)
             }
         }
-        Self::from_cumulative(conversations, cumulative, intensity)
     }
 
-    /// Finish construction: build the guide table over `cumulative`
+    /// A weighted synthesizer: build the guide table over `cumulative`
     /// (non-decreasing; empty only in tests) in one forward pass.
     fn from_cumulative(
         conversations: Vec<(u32, u32)>,
@@ -129,7 +166,8 @@ impl PacketSynthesizer {
     ) -> Self {
         let e = cumulative.len();
         let last = e.saturating_sub(1);
-        let scale = e as f64 / cumulative.last().copied().unwrap_or(0.0);
+        let total = cumulative.last().copied().unwrap_or(0.0);
+        let scale = e as f64 / total;
         let mut i = 0;
         let guide = (0..e)
             .map(|j| {
@@ -145,9 +183,12 @@ impl PacketSynthesizer {
             .collect();
         PacketSynthesizer {
             conversations,
-            cumulative,
-            guide,
-            scale,
+            lookup: Lookup::Weighted(GuideTable {
+                cumulative,
+                guide,
+                scale,
+            }),
+            total,
             intensity,
         }
     }
@@ -164,32 +205,34 @@ impl PacketSynthesizer {
 
     /// The conversation a uniform `x ∈ [0, total]` selects: exactly
     /// `cumulative.partition_point(|&c| c < x).min(E − 1)`.
-    /// `draw_many_into` runs the same two halves as separate passes.
     // lint:hot
     fn pick(&self, x: f64) -> usize {
-        self.scan(self.start(x), x)
-    }
-
-    /// The guide table's start for `x`. Every conversation below it
-    /// has `bucket(cumulative[i]) < bucket(x)`, hence (`bucket` being
-    /// monotone) `cumulative[i] < x`: the start never passes the
-    /// answer. Starting at 0 would be exact too, only slower.
-    fn start(&self, x: f64) -> usize {
-        let last = self.guide.len().saturating_sub(1);
-        self.guide
-            .get(bucket(x, self.scale, last))
-            .map_or(0, |&i| i as usize)
-    }
-
-    /// Step forward from `i` to the first conversation whose
-    /// cumulative intensity reaches `x`, stopping at the last one.
-    // lint:hot
-    fn scan(&self, mut i: usize, x: f64) -> usize {
-        let last = self.cumulative.len().saturating_sub(1);
-        while i < last && self.cumulative.get(i).is_some_and(|&c| c < x) {
-            i += 1;
+        match &self.lookup {
+            Lookup::Uniform => uniform_index(x),
+            Lookup::Weighted(table) => table.pick(x),
         }
-        i
+    }
+
+    /// [`PacketSynthesizer::pick`] over the first `len` entries of a
+    /// block: `idx[k]` becomes the conversation `xs[k]` selects. The
+    /// guide table runs its starts and its scans as two passes.
+    // lint:hot
+    fn resolve(&self, xs: &[f64; BLOCK], idx: &mut [usize; BLOCK], len: usize) {
+        match &self.lookup {
+            Lookup::Uniform => {
+                for (i, &x) in idx.iter_mut().zip(xs).take(len) {
+                    *i = uniform_index(x);
+                }
+            }
+            Lookup::Weighted(table) => {
+                for (i, &x) in idx.iter_mut().zip(xs).take(len) {
+                    *i = table.start(x);
+                }
+                for (i, &x) in idx.iter_mut().zip(xs).take(len) {
+                    *i = table.scan(*i, x);
+                }
+            }
+        }
     }
 
     /// The packet conversation `idx` yields, oriented by `forward`.
@@ -215,10 +258,10 @@ impl PacketSynthesizer {
     /// conversations to draw from — a typed fault the pipeline's
     /// quarantine machinery can classify, rather than a panic.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Packet, WindowFault> {
-        let Some(&total) = self.cumulative.last() else {
+        if self.conversations.is_empty() {
             return Err(WindowFault::EmptySynthesizer);
-        };
-        let x = rng.gen::<f64>() * total;
+        }
+        let x = rng.gen::<f64>() * self.total;
         let idx = self.pick(x);
         self.packet(idx, rng.gen::<bool>())
     }
@@ -260,9 +303,9 @@ impl PacketSynthesizer {
         if n == 0 {
             return Ok(());
         }
-        let Some(&total) = self.cumulative.last() else {
+        if self.conversations.is_empty() {
             return Err(WindowFault::EmptySynthesizer);
-        };
+        }
         out.reserve(palu_sparse::admitted_capacity(n));
         let mut xs = [0.0f64; BLOCK];
         let mut forward = [false; BLOCK];
@@ -272,15 +315,10 @@ impl PacketSynthesizer {
             let len = left.min(BLOCK);
             left -= len;
             for (x, f) in xs.iter_mut().zip(forward.iter_mut()).take(len) {
-                *x = rng.gen::<f64>() * total;
+                *x = rng.gen::<f64>() * self.total;
                 *f = rng.gen::<bool>();
             }
-            for (i, &x) in idx.iter_mut().zip(xs.iter()).take(len) {
-                *i = self.start(x);
-            }
-            for (i, &x) in idx.iter_mut().zip(xs.iter()).take(len) {
-                *i = self.scan(*i, x);
-            }
+            self.resolve(&xs, &mut idx, len);
             for (&i, &f) in idx.iter().zip(forward.iter()).take(len) {
                 out.push(self.packet(i, f)?);
             }
@@ -312,6 +350,52 @@ impl PacketSynthesizer {
     }
 }
 
+impl GuideTable {
+    /// Exactly `cumulative.partition_point(|&c| c < x).min(E − 1)`.
+    fn pick(&self, x: f64) -> usize {
+        self.scan(self.start(x), x)
+    }
+
+    /// The guide table's start for `x`. Every conversation below it
+    /// has `bucket(cumulative[i]) < bucket(x)`, hence (`bucket` being
+    /// monotone) `cumulative[i] < x`: the start never passes the
+    /// answer. Starting at 0 would be exact too, only slower.
+    fn start(&self, x: f64) -> usize {
+        let last = self.guide.len().saturating_sub(1);
+        self.guide
+            .get(bucket(x, self.scale, last))
+            .map_or(0, |&i| i as usize)
+    }
+
+    /// Step forward from `i` to the first conversation whose
+    /// cumulative intensity reaches `x`, stopping at the last one.
+    // lint:hot
+    fn scan(&self, mut i: usize, x: f64) -> usize {
+        let last = self.cumulative.len().saturating_sub(1);
+        while i < last && self.cumulative.get(i).is_some_and(|&c| c < x) {
+            i += 1;
+        }
+        i
+    }
+}
+
+/// The conversation a uniform `x ∈ [0, E]` selects under uniform
+/// intensity: `⌈x⌉ − 1`, saturated at 0. That is the count of
+/// `j ∈ 1..=E` with `j < x`, which is what `partition_point` returns
+/// on the table `1, 2, …, E`; it is at most `E − 1`, so no clamp is
+/// needed. For `x ≥ 0` the saturating cast floors, so the ceiling
+/// needs no `f64::ceil` (a libm call on baseline x86-64). NaN maps to
+/// 0, as it does for `partition_point`.
+// lint:hot
+fn uniform_index(x: f64) -> usize {
+    let t = x as usize;
+    if t as f64 == x {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
 /// Guide bucket of `x`: `min(⌊x · s⌋, E − 1)`, with `last = E − 1`.
 /// Build and lookup evaluate this one f64 expression, so it is
 /// monotone in `x` (a saturating cast floors non-negative values and
@@ -334,8 +418,9 @@ mod tests {
         g
     }
 
-    /// A synthesizer over raw weights (zeros allowed); conversation
-    /// `i` is `(i, i + 1)`.
+    /// A guide-table synthesizer over raw weights (zeros allowed);
+    /// conversation `i` is `(i, i + 1)`. The Pareto label only names a
+    /// weighted model: the table is built from `weights` as given.
     fn from_weights(weights: &[f64]) -> PacketSynthesizer {
         let mut acc = 0.0;
         let cumulative = weights
@@ -346,28 +431,52 @@ mod tests {
             })
             .collect();
         let conversations = (0..weights.len() as u32).map(|i| (i, i + 1)).collect();
-        PacketSynthesizer::from_cumulative(conversations, cumulative, EdgeIntensity::Uniform)
+        let syn = PacketSynthesizer::from_cumulative(
+            conversations,
+            cumulative,
+            EdgeIntensity::Pareto { shape: 1.0 },
+        );
+        assert!(matches!(syn.lookup, Lookup::Weighted(_)));
+        syn
     }
 
-    /// `pick` against the binary-search reference at random `x`, at 0
-    /// and `total`, and at, just below and just above every
-    /// cumulative value.
-    fn assert_pick_is_exact(weights: &[f64], seed: u64) {
-        let syn = from_weights(weights);
-        let cum = &syn.cumulative;
+    /// A weighted synthesizer's guide table.
+    fn table(syn: &PacketSynthesizer) -> &GuideTable {
+        match &syn.lookup {
+            Lookup::Weighted(table) => table,
+            Lookup::Uniform => panic!("expected a guide table"),
+        }
+    }
+
+    /// `syn.pick` against the binary-search reference over the
+    /// cumulative table `cum` at random `x`, at 0 and `total`, and at,
+    /// just below and just above every cumulative value. The closed
+    /// form is checked up to `total` only, its domain: `draw`'s `x`
+    /// is `u · total` with `u < 1`.
+    fn assert_pick_matches(syn: &PacketSynthesizer, cum: &[f64], seed: u64) {
         let total = *cum.last().unwrap();
+        assert_eq!(syn.total, total);
         let reference = |x: f64| cum.partition_point(|&c| c < x).min(cum.len() - 1);
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let random = (0..2000).map(|_| rng.gen::<f64>() * total);
-        let edges = cum.iter().flat_map(|&c| [c, c.next_down(), c.next_up()]);
+        let edges = cum
+            .iter()
+            .flat_map(|&c| [c, c.next_down(), c.next_up()])
+            .filter(|&x| x <= total || matches!(syn.lookup, Lookup::Weighted(_)));
         for x in random.chain([0.0, total]).chain(edges) {
             assert_eq!(
                 syn.pick(x),
                 reference(x),
-                "x = {x:e}, {} weights",
-                weights.len()
+                "x = {x:e}, {} conversations",
+                cum.len()
             );
         }
+    }
+
+    /// [`assert_pick_matches`] on the guide table built from `weights`.
+    fn assert_pick_is_exact(weights: &[f64], seed: u64) {
+        let syn = from_weights(weights);
+        assert_pick_matches(&syn, &table(&syn).cumulative, seed);
     }
 
     #[test]
@@ -418,17 +527,47 @@ mod tests {
     }
 
     #[test]
+    fn uniform_pick_matches_partition_point_on_the_unit_table() {
+        for e in [1u32, 2, 3, 63, 64, 65, 1000, 225_141] {
+            let mut rng = Xoshiro256pp::seed_from_u64(0);
+            let syn = PacketSynthesizer::new(&ring(e), EdgeIntensity::Uniform, &mut rng);
+            let unit: Vec<f64> = (1..=e).map(f64::from).collect();
+            assert_pick_matches(&syn, &unit, u64::from(e));
+        }
+    }
+
+    #[test]
+    fn uniform_builds_no_table_and_pareto_builds_the_guide() {
+        let g = ring(1000);
+        let mut rng = Xoshiro256pp::seed_from_u64(12);
+        let uni = PacketSynthesizer::new(&g, EdgeIntensity::Uniform, &mut rng);
+        assert!(matches!(uni.lookup, Lookup::Uniform));
+        assert_eq!(uni.total, 1000.0);
+        let par = PacketSynthesizer::new(&g, EdgeIntensity::Pareto { shape: 1.2 }, &mut rng);
+        let t = table(&par);
+        assert_eq!((t.cumulative.len(), t.guide.len()), (1000, 1000));
+        assert_eq!(par.total, t.cumulative[999]);
+    }
+
+    #[test]
     fn an_empty_synthesizer_faults_only_when_asked_for_packets() {
-        let syn = from_weights(&[]);
-        let mut rng = Xoshiro256pp::seed_from_u64(13);
-        let mut out = vec![Packet { src: 1, dst: 2 }];
-        assert_eq!(syn.draw_many_into(&mut rng, 0, &mut out), Ok(()));
-        assert!(out.is_empty());
-        assert_eq!(
-            syn.draw_many_into(&mut rng, 1, &mut out),
-            Err(WindowFault::EmptySynthesizer)
-        );
-        assert_eq!(syn.draw(&mut rng), Err(WindowFault::EmptySynthesizer));
+        let empty_uniform = PacketSynthesizer {
+            conversations: Vec::new(),
+            lookup: Lookup::Uniform,
+            total: 0.0,
+            intensity: EdgeIntensity::Uniform,
+        };
+        for syn in [from_weights(&[]), empty_uniform] {
+            let mut rng = Xoshiro256pp::seed_from_u64(13);
+            let mut out = vec![Packet { src: 1, dst: 2 }];
+            assert_eq!(syn.draw_many_into(&mut rng, 0, &mut out), Ok(()));
+            assert!(out.is_empty());
+            assert_eq!(
+                syn.draw_many_into(&mut rng, 1, &mut out),
+                Err(WindowFault::EmptySynthesizer)
+            );
+            assert_eq!(syn.draw(&mut rng), Err(WindowFault::EmptySynthesizer));
+        }
     }
 
     #[test]
