@@ -57,6 +57,14 @@ cargo test -q -p palu-suite --test parallel_pipeline \
 cargo run -q --release -p palu-bench --bin pipeline -- --gate
 test -s results/BENCH_pipeline.json
 
+echo "== experiment gates (directed, model_selection) =="
+# Each bin asserts its paper-shape gate and exits non-zero when it
+# fails: in/out-degree ZM α within 0.05 on every scenario (E-EXT3) and
+# PALU winning the botnet-heavy scenario on AIC (E-EXT2). Both are
+# deterministic, so the JSON snapshots they rewrite stay byte-identical.
+cargo run -q --release -p palu-bench --bin directed
+cargo run -q --release -p palu-bench --bin model_selection
+
 echo "== fault-injection smoke matrix (0%, 5%, 50%) =="
 # The quarantine policy must complete at every injection rate, with a
 # clean report at 0% and a non-empty quarantine set at 50%.

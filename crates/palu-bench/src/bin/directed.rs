@@ -43,15 +43,12 @@ fn main() {
     let mut rows = Vec::new();
     for (i, s) in palu_bench::fig3_scenarios().iter().enumerate() {
         let mut obs = s.observatory(77_000 + i as u64);
-        let windows = obs
-            .windows_parallel(s.windows.min(8), 8)
-            .expect("non-zero window count");
-        let pooled = Pipeline::pool_many(&measurements, &windows);
-        let fits: Vec<_> = pooled
+        let windows = obs.windows(s.windows.min(8));
+        let fits: Vec<_> = measurements
             .iter()
-            .map(|p| {
+            .map(|&m| {
                 ZmFitter::default()
-                    .fit(&p.mean, None)
+                    .fit(&Pipeline::pool(m, &windows).mean, None)
                     .expect("fit succeeds")
             })
             .collect();

@@ -12,9 +12,8 @@ use palu::zm_fit::{FitObjective, ZmFitter};
 use palu_bench::{fmt_p, record_json, rule, Scenario};
 use palu_cli::commands::metrics_json;
 use palu_cli::json::JsonValue;
-use palu_sparse::parallel::default_threads;
 use palu_traffic::metrics::Metrics;
-use palu_traffic::pipeline::{Measurement, Pipeline};
+use palu_traffic::pipeline::{default_threads, Measurement, Pipeline};
 use palu_traffic::{FailurePolicy, MetricsSnapshot};
 use std::time::Instant;
 

@@ -2,20 +2,19 @@
 //!
 //! The paper's methodology runs "over a wide range of windows from
 //! N_V = 100,000 to N_V = 100,000,000". This experiment demonstrates
-//! the substrate holds up at the 10⁷-packet scale on one machine:
-//! serial vs thread-sharded window assembly (design-choice #4),
-//! Table-I aggregation, and the five Figure-1 quantities, with
-//! throughput in packets/second and bit-identical results across
-//! strategies.
+//! the substrate holds up at the 10⁷-packet scale on one machine: the
+//! COO → CSR window build, Table-I aggregation and the five Figure-1
+//! quantities, with throughput in packets/second, then the capture
+//! engine at 1 vs N threads with bit-identical pooled results.
 
 use palu_bench::record_json;
 use palu_cli::commands::metrics_json;
 use palu_cli::json::JsonValue;
 use palu_sparse::aggregates::Aggregates;
-use palu_sparse::parallel::{build_csr_parallel, default_threads, quantities_parallel};
+use palu_sparse::coo::CooMatrix;
 use palu_sparse::quantities::QuantityHistograms;
 use palu_traffic::metrics::Metrics;
-use palu_traffic::pipeline::{Measurement, Pipeline, PooledDistribution};
+use palu_traffic::pipeline::{default_threads, Measurement, Pipeline, PooledDistribution};
 use palu_traffic::{FailurePolicy, MetricsSnapshot};
 use std::time::Instant;
 
@@ -25,9 +24,9 @@ use std::time::Instant;
 /// per-stage metrics snapshot.
 fn run_pipeline(windows: usize, threads: usize) -> (PooledDistribution, f64, MetricsSnapshot) {
     // A fixed mid-size scenario (first Figure-3 panel, shrunk N_V so
-    // the serial baseline stays cheap) re-seeded identically per run:
-    // the serial and sharded paths see the same window indices and
-    // must agree bit-for-bit.
+    // the 1-thread baseline stays cheap) re-seeded identically per run:
+    // every thread count sees the same window indices and must agree
+    // bit-for-bit.
     let mut scenario = palu_bench::fig3_scenarios().remove(0);
     scenario.n_v = 20_000;
     scenario.windows = windows;
@@ -72,33 +71,15 @@ fn main() {
     println!("  synthesized in {:.2}s", t0.elapsed().as_secs_f64());
 
     let t0 = Instant::now();
-    let serial = build_csr_parallel(&packets, 1);
-    let serial_build_s = t0.elapsed().as_secs_f64();
+    let window = CooMatrix::from_packet_pairs(packets.iter().copied()).to_csr();
+    let build_s = t0.elapsed().as_secs_f64();
     println!(
-        "  serial build:    {serial_build_s:.2}s ({:.1} Mpkt/s)",
-        n as f64 / serial_build_s / 1e6
+        "  CSR build:       {build_s:.2}s ({:.1} Mpkt/s)",
+        n as f64 / build_s / 1e6
     );
 
-    let threads = default_threads();
     let t0 = Instant::now();
-    let parallel = build_csr_parallel(&packets, threads);
-    let parallel_build_s = t0.elapsed().as_secs_f64();
-    if threads > 1 {
-        println!(
-            "  parallel build:  {parallel_build_s:.2}s on {threads} threads ({:.1} Mpkt/s, {:.2}x)",
-            n as f64 / parallel_build_s / 1e6,
-            serial_build_s / parallel_build_s
-        );
-    } else {
-        println!(
-            "  parallel build:  {parallel_build_s:.2}s — single-core host, sharded path \
-             degenerates to serial (timing delta is cache warmth, not speedup)"
-        );
-    }
-    assert_eq!(serial, parallel, "strategies must agree bit-for-bit");
-
-    let t0 = Instant::now();
-    let agg = Aggregates::compute(&parallel);
+    let agg = Aggregates::compute(&window);
     let aggregate_s = t0.elapsed().as_secs_f64();
     println!(
         "  Table-I aggregates in {aggregate_s:.3}s: N_V = {}, links = {}, sources = {}, dests = {}",
@@ -107,22 +88,16 @@ fn main() {
     assert_eq!(agg.valid_packets, n as u64);
 
     let t0 = Instant::now();
-    let qs = QuantityHistograms::compute(&parallel);
-    let quantities_serial_s = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let qp = quantities_parallel(&parallel);
-    let quantities_parallel_s = t0.elapsed().as_secs_f64();
-    assert_eq!(qs.link_packets, qp.link_packets);
-    println!(
-        "  five quantities: serial {quantities_serial_s:.3}s, parallel {quantities_parallel_s:.3}s"
-    );
+    let qs = QuantityHistograms::compute(&window);
+    let quantities_s = t0.elapsed().as_secs_f64();
+    println!("  five quantities in {quantities_s:.3}s");
     println!(
         "  source-packet d_max = {} (supernode), link-packet d_max = {}",
         qs.source_packets.d_max().unwrap_or(0),
         qs.link_packets.d_max().unwrap_or(0)
     );
 
-    // Multi-window measurement pipeline: serial vs sharded end-to-end
+    // Multi-window capture engine: 1 thread vs N threads end-to-end
     // (synthesize → window → histogram → bin → window-ordered merge),
     // with per-stage wall-times from the metrics instrumentation. The
     // speedup here is measured from the snapshot, not asserted.
@@ -151,13 +126,9 @@ fn main() {
         "scale",
         &JsonValue::obj([
             ("n_packets", n.into()),
-            ("serial_build_s", serial_build_s.into()),
-            ("parallel_build_s", parallel_build_s.into()),
-            ("parallel_threads", threads.into()),
-            ("speedup", (serial_build_s / parallel_build_s).into()),
+            ("build_s", build_s.into()),
             ("aggregate_s", aggregate_s.into()),
-            ("quantities_serial_s", quantities_serial_s.into()),
-            ("quantities_parallel_s", quantities_parallel_s.into()),
+            ("quantities_s", quantities_s.into()),
             ("unique_links", agg.unique_links.into()),
             ("pipeline_windows", pipeline_windows.into()),
             ("pipeline_serial_s", pipeline_serial_s.into()),

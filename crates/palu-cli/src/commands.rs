@@ -797,7 +797,7 @@ impl SimCapture {
     /// windows), so banners and metrics snapshots agree.
     fn threads(&self, args: &ParsedArgs, local_windows: usize) -> Result<usize, CliError> {
         Ok(match usize_opt(args.u64_or("threads", 0)?, "threads")? {
-            0 => palu_sparse::parallel::default_threads(),
+            0 => palu_traffic::pipeline::default_threads(),
             t => t,
         }
         .clamp(1, local_windows.max(1)))

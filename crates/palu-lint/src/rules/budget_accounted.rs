@@ -35,7 +35,6 @@ const SCOPED_FILES: &[&str] = &[
     "palu-traffic/src/observatory.rs",
     "palu-traffic/src/journal.rs",
     "palu-sparse/src/coo.rs",
-    "palu-sparse/src/parallel.rs",
 ];
 
 /// How many tokens past the opening `(` the sanctioned

@@ -141,15 +141,6 @@ impl CooMatrix {
         self.n_cols = 0;
     }
 
-    /// Merge another COO builder's triplets into this one.
-    pub fn merge(&mut self, other: &CooMatrix) {
-        self.rows.extend_from_slice(&other.rows);
-        self.cols.extend_from_slice(&other.cols);
-        self.vals.extend_from_slice(&other.vals);
-        self.n_rows = self.n_rows.max(other.n_rows);
-        self.n_cols = self.n_cols.max(other.n_cols);
-    }
-
     /// Convert to CSR, accumulating duplicate `(row, col)` entries.
     ///
     /// Runs in `O(nnz + n_rows)` using a two-pass counting sort on
@@ -439,18 +430,6 @@ mod tests {
         assert_eq!(csr.n_rows(), 5);
         assert_eq!(csr.n_cols(), 9);
         assert_eq!(csr.row_nnz(4), 0);
-    }
-
-    #[test]
-    fn merge_combines_builders() {
-        let mut a = CooMatrix::from_packet_pairs([(0, 1), (1, 2)]);
-        let b = CooMatrix::from_packet_pairs([(0, 1), (3, 0)]);
-        a.merge(&b);
-        let csr = a.to_csr();
-        assert_eq!(csr.get(0, 1), 2);
-        assert_eq!(csr.get(3, 0), 1);
-        assert_eq!(csr.total(), 4);
-        assert_eq!(csr.n_rows(), 4);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //!   Figure 1: source packets, source fan-out, link packets,
 //!   destination fan-in, and destination packets, each as a degree
 //!   histogram ready for logarithmic pooling.
-//! * [`parallel`] — sharded parallel assembly of large windows using
-//!   std::thread scoped threads.
+//! * [`scratch`] — reusable per-worker buffers: allocation-free COO→CSR
+//!   assembly, and the edge-key kernels that pool a window's degree
+//!   and quantity histograms straight from its packets.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -29,8 +30,6 @@ pub mod coo;
 pub mod csr;
 /// Typed errors for sizing on untrusted dimensions.
 pub mod error;
-/// Sharded parallel window assembly on std::thread scoped threads.
-pub mod parallel;
 /// The network quantities (degree, flows, packets, bytes) tracked per node.
 pub mod quantities;
 /// Reusable per-worker scratch buffers for allocation-free window

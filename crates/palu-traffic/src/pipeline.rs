@@ -255,30 +255,6 @@ impl Pipeline {
         p.finish()
     }
 
-    /// Pool several measurements over the same windows concurrently
-    /// (one scoped thread per measurement).
-    pub fn pool_many(
-        measurements: &[Measurement],
-        windows: &[PacketWindow],
-    ) -> Vec<PooledDistribution> {
-        let mut results: Vec<Option<PooledDistribution>> = vec![None; measurements.len()];
-        std::thread::scope(|s| {
-            for (slot, &m) in results.iter_mut().zip(measurements) {
-                s.spawn(move || {
-                    *slot = Some(Pipeline::pool(m, windows));
-                });
-            }
-        });
-        // The scope joined every worker, so each slot is filled.
-        let results: Vec<PooledDistribution> = results.into_iter().flatten().collect();
-        assert_eq!(
-            results.len(),
-            measurements.len(),
-            "every slot filled by a joined worker"
-        );
-        results
-    }
-
     /// [`Pipeline::pool_observatory_governed`] with no budget.
     #[allow(clippy::too_many_arguments)]
     pub fn pool_observatory_durable(
@@ -881,6 +857,17 @@ impl Pending<'_> {
     }
 }
 
+/// Default thread count for a capture that names none: one per
+/// available CPU, capped at 16, or 1 when the count is unknown. The
+/// engine still caps its workers at the machine's effective
+/// parallelism (floor 2) and at one per window.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(16)
+}
+
 /// What every window of one capture shares, read-only on the workers.
 struct Capture<'a> {
     measurement: Measurement,
@@ -1296,23 +1283,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_many_matches_individual() {
-        let mut obs = observatory(5);
-        let windows = obs.windows(4);
-        let ms = [
-            Measurement::UndirectedDegree,
-            Measurement::Quantity(NetworkQuantity::LinkPackets),
-            Measurement::Quantity(NetworkQuantity::DestinationFanIn),
-        ];
-        let many = Pipeline::pool_many(&ms, &windows);
-        for (m, pooled) in ms.iter().zip(&many) {
-            let single = Pipeline::pool(*m, &windows);
-            assert_eq!(single.mean, pooled.mean);
-            assert_eq!(single.sigma, pooled.sigma);
-        }
-    }
-
-    #[test]
     fn degree_one_bin_dominates_palu_traffic() {
         // PALU traffic at moderate p has its largest pooled mass in the
         // d = 1 bin (leaves + unattached links) — the headline
@@ -1481,10 +1451,18 @@ mod tests {
     }
 
     #[test]
+    fn default_threads_is_positive() {
+        let t = default_threads();
+        assert!((1..=16).contains(&t), "{t}");
+    }
+
+    #[test]
     fn zero_windows_are_refused() {
         let mut obs = observatory(12);
         let err = capture(&mut obs, 0, 4, None, &FailurePolicy::strict(), None).unwrap_err();
         assert_eq!(err, PipelineError::ZeroWindows);
+        // The refused capture consumed no window index.
+        assert_eq!(obs.next_window().t(), 0);
     }
 
     #[test]

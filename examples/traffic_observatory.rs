@@ -61,7 +61,7 @@ fn main() {
     }
 
     // Pool every Figure 1 quantity (plus the undirected degree) over
-    // all windows, concurrently.
+    // all windows.
     let measurements = [
         Measurement::UndirectedDegree,
         Measurement::NodeVolume,
@@ -71,10 +71,9 @@ fn main() {
         Measurement::Quantity(NetworkQuantity::DestinationFanIn),
         Measurement::Quantity(NetworkQuantity::DestinationPackets),
     ];
-    let pooled = Pipeline::pool_many(&measurements, &windows);
-
     println!("\npooled D(d_i) ± σ over {} windows:", windows.len());
-    for (m, dist) in measurements.iter().zip(&pooled) {
+    for m in measurements {
+        let dist = Pipeline::pool(m, &windows);
         let name = match m {
             Measurement::UndirectedDegree => "undirected degree",
             Measurement::NodeVolume => "node volume (weighted)",
