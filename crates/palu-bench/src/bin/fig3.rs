@@ -36,7 +36,7 @@ struct Panel {
 fn run_panel(scenario: &Scenario, seed: u64) -> Panel {
     let mut obs = scenario.observatory(seed);
     let effective_p = obs.effective_p();
-    // The sharded pipeline: synthesize → window → histogram → bin on
+    // The sharded pipeline: synthesize → histogram → bin on
     // worker threads, window-ordered merge on this one — bit-identical
     // to the serial fold, with per-stage wall-times accumulated into
     // the metrics snapshot.

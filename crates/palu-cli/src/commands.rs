@@ -951,7 +951,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), CliError> {
             None
         }
     };
-    // Sharded synthesize → window → histogram → bin with a
+    // Sharded synthesize → histogram → bin with a
     // deterministic window-ordered merge: bit-identical to the serial
     // pipeline for any --threads value, fault-tolerant per --fail-policy.
     let metrics = Metrics::new();

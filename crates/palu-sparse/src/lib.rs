@@ -17,8 +17,9 @@
 //!   destination fan-in, and destination packets, each as a degree
 //!   histogram ready for logarithmic pooling.
 //! * [`scratch`] — reusable per-worker buffers: allocation-free COO→CSR
-//!   assembly, and the edge-key kernels that pool a window's degree
-//!   and quantity histograms straight from its packets.
+//!   assembly, and the window kernels that pool a window's degree and
+//!   quantity histograms from its packets, or from marks made as its
+//!   packets are drawn.
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 
@@ -41,7 +42,9 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use quantities::{NetworkQuantity, QuantityHistograms};
-pub use scratch::{CsrScratch, DegreeScratch, EdgeKeys};
+pub use scratch::{
+    Conversations, CsrScratch, DegreeScratch, EdgeKeys, Marker, Marking, MAX_CONVERSATIONS,
+};
 
 /// Largest capacity *hint* honoured verbatim before admission-control
 /// accounting kicks in (4 Mi elements). Geometry-derived sizes below

@@ -12,19 +12,38 @@
 //! performs no heap allocation beyond the result histograms
 //! themselves.
 //!
-//! [`DegreeScratch`] also holds the packet-level kernel, which pools
-//! a measurement straight from a window's packets in the hypersparse
-//! style: it pays for the entries the window holds, never for the size
-//! of the address space, and builds no matrix at all.
+//! [`DegreeScratch`] also holds the two window kernels, which pool a
+//! measurement in the hypersparse style: they pay for the entries a
+//! window holds, never for the size of the address space, and build no
+//! matrix at all.
 //!
-//! The undirected keying finds a window's distinct edges in an
-//! open-addressing hash table of packed `u64` keys (power-of-two
-//! capacity, Fibonacci hash, linear probing) that the scratch keeps
-//! between windows. The table doubles once its distinct keys pass half
-//! its capacity, and it is emptied at the **start** of every keying,
-//! so a keying that panicked part-way cannot leak its keys into the
-//! next window. Its work is expected `O(1)` per packet and its memory
-//! scales with the window's distinct edges, not with `N_V`.
+//! - The **packet-level kernel** ([`DegreeScratch::key_pairs`], then a
+//!   `*_of_keys` count) takes a window's packets. Its undirected keying
+//!   finds the distinct edges in an open-addressing hash table of
+//!   packed `u64` keys (power-of-two capacity, Fibonacci hash, linear
+//!   probing) that the scratch keeps between windows. The table doubles
+//!   once its distinct keys pass half its capacity, and it is emptied
+//!   at the **start** of every keying, so a keying that panicked
+//!   part-way cannot leak its keys into the next window. It is the
+//!   reference for the fused kernel and serves arbitrary packet
+//!   streams.
+//! - The **fused kernel** ([`DegreeScratch::begin_marks`], one
+//!   `mark_*` call per packet, then a `*_of_marks` count) never sees a
+//!   packet buffer. Its caller, a [`Conversations`] implementation,
+//!   names each distinct undirected edge by one *canonical*
+//!   conversation, and each packet marks its edge's bit in a bit set
+//!   over the conversations ([`Marking::Edges`]) or adds to its
+//!   directed pair's count, pair `2·canonical + orientation`
+//!   ([`Marking::Pairs`]). A window with fewer packets than there are
+//!   distinct edges is *sparse*: the first mark of each edge or pair
+//!   is also listed, with its endpoints when the mark pass knows them,
+//!   and the count pass walks that list, looking the missing endpoints
+//!   up first. A denser window lists nothing, and the count pass scans
+//!   the caller's edges in order instead. Either way each edge or pair
+//!   is read once, so the count costs `O(distinct edges)`, and no hash
+//!   table and no sort is involved. `begin_marks` clears whatever a
+//!   window that was marked and never counted (it panicked) left
+//!   behind.
 //!
 //! All scratch-based computations are exact drop-in replacements:
 //! each produces a value **equal** to its allocating counterpart
@@ -100,11 +119,178 @@ pub enum EdgeKeys {
     Packets,
 }
 
+/// What the fused kernel's mark pass records per packet, chosen by the
+/// measurement its count pass reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Marking {
+    /// The packet's undirected edge, as one bit: the window's edge
+    /// set, read by [`DegreeScratch::undirected_degree_of_marks`].
+    #[default]
+    Edges,
+    /// One more packet on the packet's directed pair: the window's
+    /// `(src, dst, count)` entries, read by
+    /// [`DegreeScratch::node_volume_of_marks`] and
+    /// [`DegreeScratch::quantity_of_marks`].
+    Pairs,
+}
+
+/// A network's conversations as the fused kernel's count pass reads
+/// them. Each conversation is numbered by its index and runs over one
+/// undirected edge. The network is a multigraph, so several may run
+/// over one edge; the first of them, the edge's *canonical*
+/// conversation, stands for the edge, and marks name edges by their
+/// canonical conversation's index.
+pub trait Conversations {
+    /// Number of conversations: indices lie below it.
+    fn n_conversations(&self) -> usize;
+    /// Number of distinct undirected edges `E′`.
+    fn n_edges(&self) -> usize;
+    /// Node ids lie below this.
+    fn n_ids(&self) -> usize;
+    /// Every edge's `(index, lo, hi)`, `lo ≤ hi`, by its canonical
+    /// conversation's index, in index order.
+    fn edges(&self) -> impl Iterator<Item = (u32, NodeId, NodeId)> + '_;
+    /// The `(lo, hi)` endpoints, `lo ≤ hi`, of canonical conversation
+    /// `i`'s edge.
+    fn ends(&self, i: u32) -> (NodeId, NodeId);
+}
+
+/// A sparse window's first mark of one edge (`a, b` its endpoints, `id`
+/// its canonical conversation) or directed pair (`a, b = src, dst`, `id`
+/// the pair), with [`UNRESOLVED`] set in `id` when the mark pass did not
+/// know the endpoints.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    a: NodeId,
+    b: NodeId,
+    id: u32,
+}
+
+/// Flag bit of a [`Mark`]'s id: the count pass looks the endpoints up.
+/// Pair ids, two per conversation, lie below it.
+const UNRESOLVED: u32 = 1 << 31;
+
+/// Most conversations the fused kernel marks: their pair ids, two per
+/// conversation, keep the top bit of a `u32` free for a flag.
+pub const MAX_CONVERSATIONS: usize = 1 << 30;
+
+/// The fused kernel's per-window state.
+#[derive(Debug, Clone, Default)]
+struct Marks {
+    /// What the current window records.
+    marking: Marking,
+    /// Whether the current window lists its first marks.
+    sparse: bool,
+    /// Whether a window was marked and not yet counted.
+    pending: bool,
+    /// One bit per conversation ([`Marking::Edges`]), zero between
+    /// windows; only canonical conversations are marked.
+    bits: Vec<u64>,
+    /// One count per directed pair ([`Marking::Pairs`]), zero between
+    /// windows: pair `2·i` runs canonical conversation `i`'s edge from
+    /// `lo` to `hi` (or is its self-loop), pair `2·i + 1` back.
+    pairs: Vec<Count>,
+    /// `marked[..live]` lists a sparse window's first marks; the rest
+    /// is write space.
+    marked: Vec<Mark>,
+    /// Length of the live prefix of `marked`.
+    live: usize,
+}
+
+/// One window's mark pass, borrowed from a [`DegreeScratch`] by
+/// [`DegreeScratch::begin_marks`]. A sparse window's list has write
+/// space for every mark, so listing a mark is a store and an add, with
+/// the list's length in a local the mark loop keeps in a register; it
+/// is written back when the marker is dropped, or unwinds.
+pub struct Marker<'a> {
+    bits: &'a mut [u64],
+    pairs: &'a mut [Count],
+    /// The list's write space: empty for a dense window.
+    marked: &'a mut [Mark],
+    live: usize,
+    live_slot: &'a mut usize,
+}
+
+impl Marker<'_> {
+    /// Mark the edge whose canonical conversation is `id`, in a
+    /// [`Marking::Edges`] window. `a` and `b` are its endpoints, in
+    /// either order, when `known`; otherwise the count pass looks them
+    /// up. Ids out of range are ignored.
+    // lint:hot
+    #[inline]
+    pub fn mark_edge(&mut self, id: u32, a: NodeId, b: NodeId, known: bool) {
+        if let Some(word) = self.bits.get_mut((id / 64) as usize) {
+            let bit = 1u64 << (id % 64);
+            let first = *word & bit == 0;
+            *word |= bit;
+            self.list(
+                Mark {
+                    a,
+                    b,
+                    id: tagged(id, known),
+                },
+                first,
+            );
+        }
+    }
+
+    /// Add `n > 0` packets `src → dst` over the edge whose canonical
+    /// conversation is `id`, in a [`Marking::Pairs`] window: to its
+    /// directed pair `2·id` from `lo` to `hi` (or its self-loop), or
+    /// `2·id + 1` when `reversed`. `src` and `dst` are right when
+    /// `known`; otherwise the count pass looks them up. Ids out of range
+    /// are ignored.
+    // lint:hot
+    #[inline]
+    pub fn mark_pair(
+        &mut self,
+        id: u32,
+        reversed: bool,
+        src: NodeId,
+        dst: NodeId,
+        n: Count,
+        known: bool,
+    ) {
+        let pair = id.wrapping_mul(2) | u32::from(reversed);
+        if let Some(c) = self.pairs.get_mut(pair as usize) {
+            let first = *c == 0;
+            *c += n;
+            let mark = Mark {
+                a: src,
+                b: dst,
+                id: tagged(pair, known),
+            };
+            self.list(mark, first);
+        }
+    }
+
+    /// Store `mark` just past a sparse window's live prefix, and extend
+    /// the prefix over it if it is a `first` mark: no branch the data
+    /// cannot predict. A dense window has no write space.
+    #[inline]
+    fn list(&mut self, mark: Mark, first: bool) {
+        if let Some(slot) = self.marked.get_mut(self.live) {
+            *slot = mark;
+            self.live += usize::from(first);
+        }
+    }
+}
+
+impl Drop for Marker<'_> {
+    fn drop(&mut self) {
+        *self.live_slot = self.live;
+    }
+}
+
 /// Reusable buffers for allocation-free degree-histogram extraction.
 ///
-/// Two entry points share one counting implementation per
+/// Three entry points share one counting implementation per
 /// measurement:
 ///
+/// * the **fused kernel** — [`DegreeScratch::begin_marks`], a
+///   `mark_edge` or `mark_pair` per packet, then `*_of_marks` — counts
+///   a window whose packets were never stored, in `O(N_V)` marks plus
+///   `O(distinct edges)` counting;
 /// * the **packet-level kernel** — [`DegreeScratch::key_pairs`]
 ///   packs a window's packets into `u64` keys, then `*_of_keys`
 ///   counts them — turns a packet buffer straight into a histogram
@@ -116,7 +302,7 @@ pub enum EdgeKeys {
 ///   [`DegreeScratch::quantity_histogram`]) feed an assembled matrix's
 ///   entries into the same counting code.
 ///
-/// So for any packet slice `ps`, the kernel's histogram equals the CSR
+/// So for any packet slice `ps`, the kernels' histograms equal the CSR
 /// entry point's on `ps` aggregated into a matrix.
 ///
 /// Partner and volume counts use a *touched-list* accumulator: the
@@ -133,6 +319,8 @@ pub struct DegreeScratch {
     n_ids: usize,
     /// The counting buffers.
     tally: Tally,
+    /// The fused kernel's marks.
+    marks: Marks,
 }
 
 /// Slot value of an empty [`EdgeTable`] slot. It equals
@@ -218,11 +406,21 @@ impl EdgeTable {
     }
 }
 
+/// Degrees below this are counted by value in [`Tally`]; larger ones
+/// are listed and sorted.
+const COUNTED_DEGREES: usize = 1 << 10;
+
 /// The counting half of [`DegreeScratch`]: one method per
-/// measurement, fed by both entry points.
+/// measurement, fed by every entry point.
 #[derive(Debug, Clone, Default)]
 struct Tally {
-    /// Per-window degree list; sorted before histogram construction.
+    /// `by_degree[d]` counts this window's degrees `d <
+    /// COUNTED_DEGREES`; zero above `top` and between windows.
+    by_degree: Vec<u64>,
+    /// Largest degree counted in `by_degree` this window.
+    top: usize,
+    /// This window's larger degrees; sorted before histogram
+    /// construction.
     degrees: Vec<u64>,
     /// Dense per-node accumulator (partner counts or packet volumes).
     counts: Vec<u64>,
@@ -232,6 +430,46 @@ struct Tally {
     touched: Vec<NodeId>,
     /// Length of the live prefix of `touched`.
     live: usize,
+}
+
+/// A [`Tally`]'s accumulator borrowed for a loop of bumps, with the live
+/// prefix's length in a local the loop keeps in a register. It is
+/// written back when the loop ends, or unwinds, so a panicked count's
+/// touched entries are still listed for the next `begin`.
+struct Bumps<'a> {
+    counts: &'a mut [u64],
+    touched: &'a mut Vec<NodeId>,
+    live: usize,
+    live_slot: &'a mut usize,
+}
+
+impl Bumps<'_> {
+    /// Add `v` to `counts[id]`. Every call stores `id` just past the
+    /// live prefix of `touched` and extends the prefix over it on a
+    /// first touch: a store and an add in place of a branch the data
+    /// cannot predict. A bump by 0 leaves the count at 0, so the id
+    /// can be listed again and outrun the write space; it is then
+    /// pushed. Out-of-range ids are ignored (callers size
+    /// `counts` to the address space, so this is unreachable in
+    /// practice — the guard replaces an indexing panic, not a
+    /// behaviour).
+    #[inline]
+    fn bump(&mut self, id: NodeId, v: u64) {
+        if let Some(c) = self.counts.get_mut(id as usize) {
+            match self.touched.get_mut(self.live) {
+                Some(slot) => *slot = id,
+                None => self.touched.push(id),
+            }
+            self.live += usize::from(*c == 0);
+            *c += v;
+        }
+    }
+}
+
+impl Drop for Bumps<'_> {
+    fn drop(&mut self) {
+        *self.live_slot = self.live;
+    }
 }
 
 /// Pack two node ids into one key that sorts by `upper`, then `lower`.
@@ -244,7 +482,8 @@ fn unpack(key: u64) -> (NodeId, NodeId) {
     ((key >> 32) as NodeId, key as NodeId)
 }
 
-/// Run-length sorted directed keys into `(src, dst, count)` entries.
+/// Run-length sorted directed keys into distinct `(src, dst, count)`
+/// entries.
 fn runs(keys: &[u64]) -> impl Iterator<Item = (NodeId, NodeId, Count)> + '_ {
     keys.chunk_by(|a, b| a == b).filter_map(|run| {
         let (src, dst) = unpack(*run.first()?);
@@ -261,7 +500,7 @@ impl Tally {
     /// Start a window over `n_ids` node ids in which at most `bumps`
     /// counts are bumped: zero any accumulator residue, grow the dense
     /// accumulator and the touched list's write space, clear the
-    /// degree list.
+    /// degree counts and list.
     ///
     /// A normal count leaves no live prefix, so the reset is free; it
     /// matters when a previous count on this scratch panicked
@@ -277,71 +516,94 @@ impl Tally {
         self.live = 0;
         // A window touches at most min(ids, bumps) ids; the extra slot
         // takes the store a repeat touch makes past the live prefix.
-        let space = n_ids.min(bumps) + 1;
-        if self.touched.len() < space {
-            self.touched.resize(space, 0);
+        grow(&mut self.touched, n_ids.min(bumps) + 1);
+        grow(&mut self.counts, n_ids);
+        for n in self.by_degree.iter_mut().take(self.top + 1) {
+            *n = 0;
         }
-        if self.counts.len() < n_ids {
-            self.counts.resize(n_ids, 0);
-        }
+        self.top = 0;
+        grow(&mut self.by_degree, COUNTED_DEGREES);
         self.degrees.clear();
     }
 
-    /// Add `v` to `counts[id]`. Every call stores `id` just past the
-    /// live prefix of `touched` and extends the prefix over it on a
-    /// first touch: a store and an add in place of a branch the data
-    /// cannot predict. A bump by 0 leaves the count at 0, so the id
-    /// can be listed again and outrun the write space; it is then
-    /// pushed. Out-of-range ids are ignored (callers size
-    /// `counts` to the address space, so this is unreachable in
-    /// practice — the guard replaces an indexing panic, not a
-    /// behaviour).
-    fn bump(&mut self, id: NodeId, v: u64) {
-        if let Some(c) = self.counts.get_mut(id as usize) {
-            match self.touched.get_mut(self.live) {
-                Some(slot) => *slot = id,
-                None => self.touched.push(id),
+    /// Add one degree `d` to the window's histogram.
+    fn record(&mut self, d: u64) {
+        match self.by_degree.get_mut(d as usize) {
+            Some(n) => {
+                *n += 1;
+                self.top = self.top.max(d as usize);
             }
-            self.live += usize::from(*c == 0);
-            *c += v;
+            None => self.degrees.push(d),
         }
     }
 
-    /// Move the touched counts into `degrees` (dropping zeros), reset
+    /// The accumulator, borrowed for a loop of bumps.
+    fn bumps(&mut self) -> Bumps<'_> {
+        Bumps {
+            counts: &mut self.counts,
+            touched: &mut self.touched,
+            live: self.live,
+            live_slot: &mut self.live,
+        }
+    }
+
+    /// Record the touched counts as degrees (dropping zeros), reset
     /// exactly the touched entries, and build the histogram.
     fn drain_touched(&mut self) -> DegreeHistogram {
-        for &id in self.touched.iter().take(self.live) {
-            if let Some(c) = self.counts.get_mut(id as usize) {
-                if *c > 0 {
-                    self.degrees.push(*c);
+        for i in 0..self.live {
+            let id = self.touched.get(i).map_or(0, |&id| id as usize);
+            if let Some(c) = self.counts.get_mut(id) {
+                let d = std::mem::take(c);
+                if d > 0 {
+                    self.record(d);
                 }
-                *c = 0;
             }
         }
         self.live = 0;
         self.finish()
     }
 
-    /// Sort the collected degrees and build the histogram via the
-    /// run-length fast path.
+    /// Build the histogram of the recorded degrees, and clear them:
+    /// the counted degrees in order, then the sorted larger ones
+    /// run-length encoded.
     fn finish(&mut self) -> DegreeHistogram {
         self.degrees.sort_unstable();
-        DegreeHistogram::from_sorted_degrees(&self.degrees)
+        let top = std::mem::take(&mut self.top);
+        let counted = self
+            .by_degree
+            .iter_mut()
+            .take(top + 1)
+            .enumerate()
+            .filter_map(|(d, n)| {
+                let n = std::mem::take(n);
+                (n > 0).then_some((d as u64, n))
+            });
+        let listed = self
+            .degrees
+            .chunk_by(|a, b| a == b)
+            .filter_map(|run| Some((*run.first()?, run.len() as u64)));
+        DegreeHistogram::from_counts(counted.chain(listed))
     }
 
-    /// Distinct partners per node over a deduplicated undirected edge
-    /// set, in any order. A self-loop is one partner (the node
-    /// itself), matching partner-set semantics.
+    /// Distinct partners per node over at most `n_edges` deduplicated
+    /// undirected edges, in any order. A self-loop is one partner (the
+    /// node itself), matching partner-set semantics.
     // lint:hot
-    fn undirected(&mut self, edges: &[u64], n_ids: usize) -> DegreeHistogram {
-        self.begin(n_ids, 2 * edges.len());
-        for &e in edges {
-            let (lo, hi) = unpack(e);
-            self.bump(lo, 1);
+    fn undirected(
+        &mut self,
+        edges: impl Iterator<Item = (NodeId, NodeId)>,
+        n_edges: usize,
+        n_ids: usize,
+    ) -> DegreeHistogram {
+        self.begin(n_ids, n_edges.saturating_mul(2));
+        let mut bumps = self.bumps();
+        for (lo, hi) in edges {
+            bumps.bump(lo, 1);
             if hi != lo {
-                self.bump(hi, 1);
+                bumps.bump(hi, 1);
             }
         }
+        drop(bumps);
         self.drain_touched()
     }
 
@@ -355,18 +617,20 @@ impl Tally {
         n_entries: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
-        self.begin(n_ids, 2 * n_entries);
+        self.begin(n_ids, n_entries.saturating_mul(2));
+        let mut bumps = self.bumps();
         for (src, dst, v) in entries {
-            self.bump(src, v);
-            self.bump(dst, v);
+            bumps.bump(src, v);
+            bumps.bump(dst, v);
         }
+        drop(bumps);
         self.drain_touched()
     }
 
-    /// One Figure 1 quantity over at most `n_entries` `(src, dst,
-    /// count)` entries grouped by `src` (the CSR's row-major order).
-    /// Source quantities read each `src` run; destination quantities
-    /// count per `dst`.
+    /// One Figure 1 quantity over at most `n_entries` distinct
+    /// `(src, dst, count)` entries, in any order. Link packets are the
+    /// counts themselves; the other four add a count (packets) or 1
+    /// (fan-out, fan-in) per entry at its source or destination.
     // lint:hot
     fn quantity(
         &mut self,
@@ -375,42 +639,133 @@ impl Tally {
         n_entries: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
-        match q {
-            NetworkQuantity::SourcePackets | NetworkQuantity::SourceFanOut => {
-                self.begin(0, 0);
-                let packets = q == NetworkQuantity::SourcePackets;
-                let mut row = None;
-                let mut acc = 0;
-                for (src, _, v) in entries {
-                    if row != Some(src) {
-                        if acc > 0 {
-                            self.degrees.push(acc);
-                        }
-                        row = Some(src);
-                        acc = 0;
-                    }
-                    acc += if packets { v } else { 1 };
-                }
-                if acc > 0 {
-                    self.degrees.push(acc);
-                }
-                self.finish()
+        if q == NetworkQuantity::LinkPackets {
+            self.begin(0, 0);
+            for (_, _, v) in entries {
+                self.record(v);
             }
-            NetworkQuantity::LinkPackets => {
-                self.begin(0, 0);
-                self.degrees.extend(entries.map(|(_, _, v)| v));
-                self.finish()
-            }
-            NetworkQuantity::DestinationFanIn | NetworkQuantity::DestinationPackets => {
-                self.begin(n_ids, n_entries);
-                let packets = q == NetworkQuantity::DestinationPackets;
-                for (_, dst, v) in entries {
-                    self.bump(dst, if packets { v } else { 1 });
-                }
-                self.drain_touched()
-            }
+            return self.finish();
+        }
+        let by_src = matches!(
+            q,
+            NetworkQuantity::SourcePackets | NetworkQuantity::SourceFanOut
+        );
+        let packets = matches!(
+            q,
+            NetworkQuantity::SourcePackets | NetworkQuantity::DestinationPackets
+        );
+        self.begin(n_ids, n_entries);
+        let mut bumps = self.bumps();
+        for (src, dst, v) in entries {
+            bumps.bump(if by_src { src } else { dst }, if packets { v } else { 1 });
+        }
+        drop(bumps);
+        self.drain_touched()
+    }
+}
+
+impl Marks {
+    /// Start a window of at most `n_marks` marks over
+    /// `n_conversations` conversations: clear what a window that was
+    /// marked and never counted left behind, size the marks, and lend
+    /// them out.
+    fn begin(
+        &mut self,
+        marking: Marking,
+        n_conversations: usize,
+        n_marks: usize,
+        sparse: bool,
+    ) -> Marker<'_> {
+        if self.pending {
+            self.clear();
+        }
+        self.marking = marking;
+        self.sparse = sparse;
+        self.pending = true;
+        match marking {
+            Marking::Edges => grow(&mut self.bits, n_conversations.div_ceil(64)),
+            Marking::Pairs => grow(&mut self.pairs, n_conversations.saturating_mul(2)),
+        }
+        // A sparse window lists at most `n_marks` marks; the extra slot
+        // takes the store a repeated mark makes past the live prefix.
+        let space = if sparse { n_marks + 1 } else { 0 };
+        grow(&mut self.marked, space);
+        Marker {
+            bits: &mut self.bits,
+            pairs: &mut self.pairs,
+            marked: self.marked.get_mut(..space).unwrap_or_default(),
+            live: 0,
+            live_slot: &mut self.live,
         }
     }
+
+    /// The listed first marks.
+    fn listed(&self) -> &[Mark] {
+        self.marked.get(..self.live).unwrap_or_default()
+    }
+
+    /// Give every listed mark its endpoints, looking up those the mark
+    /// pass did not know, in a pass of their own so the counting loop
+    /// after it has no branch the data cannot predict.
+    // lint:hot
+    fn resolve(&mut self, net: &impl Conversations) {
+        let edges = self.marking == Marking::Edges;
+        let listed = self.marked.iter_mut().take(self.live);
+        for m in listed.filter(|m| m.id & UNRESOLVED != 0) {
+            m.id &= !UNRESOLVED;
+            let canonical = if edges { m.id } else { m.id / 2 };
+            let (lo, hi) = net.ends(canonical);
+            (m.a, m.b) = if !edges && m.id & 1 == 1 {
+                (hi, lo)
+            } else {
+                (lo, hi)
+            };
+        }
+    }
+
+    /// Zero every mark of the window and end it: through the list of a
+    /// sparse window (a listed edge's whole bit word, as every bit set
+    /// in it is listed too), wholesale for a dense one.
+    // lint:hot
+    fn clear(&mut self) {
+        if self.sparse {
+            for m in self.marked.iter().take(self.live) {
+                let id = m.id & !UNRESOLVED;
+                let slot = match self.marking {
+                    Marking::Edges => self.bits.get_mut((id / 64) as usize),
+                    Marking::Pairs => self.pairs.get_mut(id as usize),
+                };
+                if let Some(slot) = slot {
+                    *slot = 0;
+                }
+            }
+        } else {
+            match self.marking {
+                Marking::Edges => self.bits.fill(0),
+                Marking::Pairs => self.pairs.fill(0),
+            }
+        }
+        self.live = 0;
+        self.pending = false;
+    }
+}
+
+/// Grow `v` with defaults to at least `len` entries.
+fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
+    if v.len() < len {
+        v.resize(len, T::default());
+    }
+}
+
+/// `id`, with [`UNRESOLVED`] set unless `known`.
+fn tagged(id: u32, known: bool) -> u32 {
+    id | (u32::from(!known) << 31)
+}
+
+/// Whether bit `id` is set.
+fn is_marked(bits: &[u64], id: u32) -> bool {
+    bits.get((id / 64) as usize)
+        .is_some_and(|word| word >> (id % 64) & 1 == 1)
 }
 
 impl DegreeScratch {
@@ -456,7 +811,8 @@ impl DegreeScratch {
     /// Undirected-degree histogram of pairs keyed as
     /// [`EdgeKeys::Undirected`].
     pub fn undirected_degree_of_keys(&mut self) -> DegreeHistogram {
-        self.tally.undirected(&self.keys, self.n_ids)
+        let edges = self.keys.iter().map(|&k| unpack(k));
+        self.tally.undirected(edges, self.keys.len(), self.n_ids)
     }
 
     /// Node-volume histogram of pairs keyed as [`EdgeKeys::Packets`]
@@ -502,6 +858,105 @@ impl DegreeScratch {
     pub fn quantity_histogram(&mut self, q: NetworkQuantity, a: &CsrMatrix) -> DegreeHistogram {
         self.tally.quantity(q, a.iter(), a.nnz(), dims(a))
     }
+
+    /// Start one window of the fused kernel over `net`'s conversations,
+    /// recording `marking` for at most `n_marks` packets: the returned
+    /// [`Marker`] takes one `mark_*` call per packet. Clears what a
+    /// window that was marked and never counted (it panicked) left
+    /// behind. The window is sparse when `n_marks < net.n_edges()`: it
+    /// lists each edge or pair as it is first marked, and its count pass
+    /// walks the list. A dense window lists nothing, and its count pass
+    /// scans every edge.
+    pub fn begin_marks(
+        &mut self,
+        marking: Marking,
+        net: &impl Conversations,
+        n_marks: usize,
+    ) -> Marker<'_> {
+        let sparse = n_marks < net.n_edges();
+        self.marks
+            .begin(marking, net.n_conversations(), n_marks, sparse)
+    }
+
+    /// Undirected-degree histogram of a [`Marking::Edges`] window over
+    /// `net`'s conversations.
+    // lint:hot
+    pub fn undirected_degree_of_marks(&mut self, net: &impl Conversations) -> DegreeHistogram {
+        let Self { tally, marks, .. } = self;
+        let h = if marks.sparse {
+            marks.resolve(net);
+            let listed = marks.listed();
+            let edges = listed.iter().map(|m| (m.a, m.b));
+            tally.undirected(edges, listed.len(), net.n_ids())
+        } else {
+            let bits = &marks.bits;
+            let edges = net
+                .edges()
+                .filter_map(|(i, lo, hi)| is_marked(bits, i).then_some((lo, hi)));
+            tally.undirected(edges, net.n_edges(), net.n_ids())
+        };
+        marks.clear();
+        h
+    }
+
+    /// Node-volume histogram of a [`Marking::Pairs`] window over `net`'s
+    /// conversations.
+    pub fn node_volume_of_marks(&mut self, net: &impl Conversations) -> DegreeHistogram {
+        let Self { tally, marks, .. } = self;
+        let h = if marks.sparse {
+            marks.resolve(net);
+            let n = marks.live;
+            tally.volume(sparse_pairs(marks), n, net.n_ids())
+        } else {
+            let n = net.n_edges().saturating_mul(2);
+            tally.volume(dense_pairs(&marks.pairs, net), n, net.n_ids())
+        };
+        marks.clear();
+        h
+    }
+
+    /// Figure 1 quantity histogram of a [`Marking::Pairs`] window over
+    /// `net`'s conversations.
+    pub fn quantity_of_marks(
+        &mut self,
+        q: NetworkQuantity,
+        net: &impl Conversations,
+    ) -> DegreeHistogram {
+        let Self { tally, marks, .. } = self;
+        let h = if marks.sparse {
+            marks.resolve(net);
+            let n = marks.live;
+            tally.quantity(q, sparse_pairs(marks), n, net.n_ids())
+        } else {
+            let n = net.n_edges().saturating_mul(2);
+            tally.quantity(q, dense_pairs(&marks.pairs, net), n, net.n_ids())
+        };
+        marks.clear();
+        h
+    }
+}
+
+/// A sparse window's listed pairs as `(src, dst, count)` entries.
+fn sparse_pairs(marks: &Marks) -> impl Iterator<Item = (NodeId, NodeId, Count)> + '_ {
+    let pairs = &marks.pairs;
+    marks.listed().iter().map(|m| {
+        let v = pairs.get(m.id as usize).copied().unwrap_or(0);
+        (m.a, m.b, v)
+    })
+}
+
+/// A dense window's `(src, dst, count)` entries over `net`'s edges.
+fn dense_pairs<'a>(
+    pairs: &'a [Count],
+    net: &'a impl Conversations,
+) -> impl Iterator<Item = (NodeId, NodeId, Count)> + 'a {
+    net.edges().flat_map(move |(i, lo, hi)| {
+        let pair = i.wrapping_mul(2) as usize;
+        let count = |p: usize| pairs.get(p).copied().unwrap_or(0);
+        [(lo, hi, count(pair)), (hi, lo, count(pair + 1))]
+            .into_iter()
+            .filter(|&(_, _, v)| v > 0)
+    })
 }
 
 #[cfg(test)]
@@ -665,6 +1120,231 @@ mod tests {
         assert!(counted.is_err());
         assert!(s.tally.live > 0);
         assert_eq!(kernel_histograms(&mut s, &pairs), expected);
+    }
+
+    /// A test network for the fused kernel: conversations `edges`, each
+    /// edge named by its first conversation, with a trap that panics
+    /// inside the count pass's `trap`-th lookup or scanned edge.
+    struct Net {
+        edges: Vec<(u32, u32)>,
+        first: Vec<u32>,
+        trap: std::cell::Cell<Option<usize>>,
+    }
+
+    impl Net {
+        fn new(edges: &[(u32, u32)]) -> Net {
+            let mut seen = std::collections::BTreeMap::new();
+            let first = (0..edges.len() as u32)
+                .map(|i| {
+                    let (u, v) = edges[i as usize];
+                    *seen.entry((u.min(v), u.max(v))).or_insert(i)
+                })
+                .collect();
+            Net {
+                edges: edges.to_vec(),
+                first,
+                trap: std::cell::Cell::new(None),
+            }
+        }
+
+        fn spring(&self) {
+            if let Some(n) = self.trap.get() {
+                assert!(n > 0, "injected panic while counting");
+                self.trap.set(Some(n - 1));
+            }
+        }
+
+        /// Mark `packets`, `(conversation, forward)`, as the synthesizer
+        /// does: a repeat by its edge's first conversation, with its
+        /// endpoints left to the count pass.
+        fn mark(&self, s: &mut DegreeScratch, marking: Marking, packets: &[(usize, bool)]) {
+            let mut marker = s.begin_marks(marking, self, packets.len());
+            for &(j, forward) in packets {
+                let (u, v) = self.edges[j];
+                let (src, dst) = if forward { (u, v) } else { (v, u) };
+                let id = self.first[j];
+                let known = id as usize == j;
+                match marking {
+                    Marking::Edges => marker.mark_edge(id, src, dst, known),
+                    Marking::Pairs => marker.mark_pair(id, src > dst, src, dst, 1, known),
+                }
+            }
+        }
+
+        /// Every measurement through the fused kernel.
+        fn histograms(
+            &self,
+            s: &mut DegreeScratch,
+            packets: &[(usize, bool)],
+        ) -> Vec<DegreeHistogram> {
+            self.mark(s, Marking::Edges, packets);
+            let mut out = vec![s.undirected_degree_of_marks(self)];
+            self.mark(s, Marking::Pairs, packets);
+            out.push(s.node_volume_of_marks(self));
+            for q in NetworkQuantity::ALL {
+                self.mark(s, Marking::Pairs, packets);
+                out.push(s.quantity_of_marks(q, self));
+            }
+            out
+        }
+
+        /// The same measurements through the packet-level kernel.
+        fn reference(&self, packets: &[(usize, bool)]) -> Vec<DegreeHistogram> {
+            let pairs: Vec<(u32, u32)> = packets
+                .iter()
+                .map(|&(j, forward)| {
+                    let (u, v) = self.edges[j];
+                    if forward {
+                        (u, v)
+                    } else {
+                        (v, u)
+                    }
+                })
+                .collect();
+            kernel_histograms(&mut DegreeScratch::new(), &pairs)
+        }
+    }
+
+    impl Conversations for Net {
+        fn n_conversations(&self) -> usize {
+            self.edges.len()
+        }
+
+        fn n_edges(&self) -> usize {
+            (0..self.edges.len())
+                .filter(|&j| self.first[j] as usize == j)
+                .count()
+        }
+
+        fn n_ids(&self) -> usize {
+            self.edges
+                .iter()
+                .map(|&(u, v)| u.max(v) as usize + 1)
+                .max()
+                .unwrap_or(0)
+        }
+
+        fn edges(&self) -> impl Iterator<Item = (u32, NodeId, NodeId)> + '_ {
+            (0..self.edges.len() as u32)
+                .filter(|&j| self.first[j as usize] == j)
+                .map(|j| {
+                    self.spring();
+                    let (u, v) = self.edges[j as usize];
+                    (j, u.min(v), u.max(v))
+                })
+        }
+
+        fn ends(&self, i: u32) -> (NodeId, NodeId) {
+            self.spring();
+            let (u, v) = self.edges[i as usize];
+            (u.min(v), u.max(v))
+        }
+    }
+
+    /// Parallel conversations, reversed duplicates and self-loops: 11
+    /// conversations over 6 edges.
+    const MULTIGRAPH: [(u32, u32); 11] = [
+        (0, 1),
+        (1, 0),
+        (2, 2),
+        (0, 1),
+        (3, 1),
+        (2, 2),
+        (1, 3),
+        (4, 0),
+        (5, 5),
+        (0, 4),
+        (2, 3),
+    ];
+
+    /// `n` packets drawn at random from `n_conversations`.
+    fn random_packets(
+        rng: &mut palu_stats::rng::Xoshiro256pp,
+        n: usize,
+        n_conversations: usize,
+    ) -> Vec<(usize, bool)> {
+        use palu_stats::rng::Rng;
+        (0..n)
+            .map(|_| (rng.gen_range(0..n_conversations), rng.gen_bool(0.5)))
+            .collect()
+    }
+
+    #[test]
+    fn fused_kernel_matches_the_packet_kernel() {
+        let net = Net::new(&MULTIGRAPH);
+        assert_eq!(net.n_edges(), 6);
+        let mut rng = palu_stats::rng::Xoshiro256pp::seed_from_u64(0xf0);
+        let mut s = DegreeScratch::new();
+        // Windows sparser and denser than the 6 edges, on one scratch.
+        for n in [0, 1, 2, 5, 6, 7, 30, 3, 200] {
+            for _ in 0..20 {
+                let packets = random_packets(&mut rng, n, MULTIGRAPH.len());
+                assert_eq!(
+                    net.histograms(&mut s, &packets),
+                    net.reference(&packets),
+                    "{packets:?}"
+                );
+            }
+        }
+        // Eight copies of a repeat's packet `1 → 0`, marked at once as
+        // a duplicate-edge storm marks them.
+        let mut marker = s.begin_marks(Marking::Pairs, &net, 1);
+        marker.mark_pair(0, true, 1, 0, 8, false);
+        drop(marker);
+        let mut reference = DegreeScratch::new();
+        reference.key_pairs(EdgeKeys::Directed, std::iter::repeat_n((1, 0), 8));
+        assert_eq!(
+            s.quantity_of_marks(NetworkQuantity::LinkPackets, &net),
+            reference.quantity_of_keys(NetworkQuantity::LinkPackets)
+        );
+    }
+
+    #[test]
+    fn panic_mid_mark_or_count_leaves_the_next_window_exact() {
+        let net = Net::new(&MULTIGRAPH);
+        let mut rng = palu_stats::rng::Xoshiro256pp::seed_from_u64(0xf1);
+        let mut s = DegreeScratch::new();
+        let mut count_panics = 0;
+        for n in [3, 40] {
+            let next = random_packets(&mut rng, n, MULTIGRAPH.len());
+            let expected = net.reference(&next);
+            for marking in [Marking::Edges, Marking::Pairs] {
+                // Mid-mark: half the window marked, never counted.
+                let marked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    net.mark(&mut s, marking, &next[..n / 2]);
+                    panic!("injected panic while marking");
+                }));
+                assert!(marked.is_err());
+                assert_eq!(
+                    net.histograms(&mut s, &next),
+                    expected,
+                    "mark {marking:?}, {n}"
+                );
+                // Mid-count: the second lookup or scanned edge panics,
+                // with marks, tally counts and cleared marks part-way.
+                for trap in [0, 1, 2] {
+                    net.trap.set(Some(trap));
+                    let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        net.mark(&mut s, marking, &next);
+                        match marking {
+                            Marking::Edges => s.undirected_degree_of_marks(&net),
+                            Marking::Pairs => s.node_volume_of_marks(&net),
+                        }
+                    }));
+                    net.trap.set(None);
+                    if counted.is_ok() {
+                        continue;
+                    }
+                    count_panics += 1;
+                    assert_eq!(
+                        net.histograms(&mut s, &next),
+                        expected,
+                        "count {marking:?}, {n}, {trap}"
+                    );
+                }
+            }
+        }
+        assert!(count_panics >= 6, "{count_panics} counts panicked");
     }
 
     /// The window's distinct undirected keys in first-seen order.

@@ -5,7 +5,7 @@
 //! truncated, aggregation hits pathological inputs, workers die. The
 //! pipeline's robustness contract (DESIGN.md §4e) is that a window
 //! failure is a *data point*, not a crash: each window's
-//! synthesize → window → histogram → bin stage is isolated, failures
+//! synthesize → histogram → bin stage is isolated, failures
 //! are classified into a [`WindowFault`], retried against fresh
 //! deterministic RNG sub-streams, and — under a permissive
 //! [`FailurePolicy`] — quarantined without disturbing the bit-identical

@@ -21,13 +21,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Drawing a window's `N_V` packets from the synthesizer.
+    /// Drawing a window's `N_V` packets from the synthesizer; in a
+    /// capture, the fused kernel's mark pass, which marks each packet's
+    /// edge as it is drawn.
     Synthesize,
-    /// Building the window's edge set `A_t` from its packets: the
+    /// Building the window's edge set `A_t` from a packet buffer: the
     /// packet-level kernel's key packing, sort and dedup (plus, for a
-    /// streamed capture, cutting the stream into the window).
+    /// streamed capture, cutting the stream into the window). A capture
+    /// stores no packets and runs no window stage.
     Window,
-    /// Counting the edge set into the measurement's degree histogram.
+    /// Counting the edge set into the measurement's degree histogram;
+    /// in a capture, the fused kernel's count pass.
     Histogram,
     /// Pooling the histogram into logarithmic bins `D_t(d_i)`.
     Bin,

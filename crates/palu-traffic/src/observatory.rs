@@ -11,7 +11,8 @@ use crate::fault::WindowFault;
 use crate::packets::{EdgeIntensity, PacketSynthesizer};
 use crate::window::PacketWindow;
 use palu_graph::palu_gen::{PaluGenerator, UnderlyingNetwork};
-use palu_stats::rng::SeedSequence;
+use palu_sparse::{DegreeScratch, Marking};
+use palu_stats::rng::{SeedSequence, Xoshiro256pp};
 
 /// Descriptive metadata for an observatory (mirrors the panel labels
 /// of Figure 3).
@@ -61,6 +62,39 @@ impl Observatory {
         Observatory {
             config,
             underlying,
+            synthesizer,
+            packet_seq: SeedSequence::new(seq.child_seed(palu_stats::rng::streams::PACKETS)),
+            next_t: 0,
+        }
+    }
+
+    /// An observatory over a given graph, for tests that need parallel
+    /// conversations, reversed duplicates and self-loops by hand.
+    #[cfg(test)]
+    pub(crate) fn over_graph(
+        graph: palu_graph::graph::Graph,
+        intensity: EdgeIntensity,
+        n_v: u64,
+        seed: u64,
+    ) -> Self {
+        let seq = SeedSequence::new(seed);
+        let synthesizer = PacketSynthesizer::new(
+            &graph,
+            intensity,
+            &mut seq.rng(palu_stats::rng::streams::FITTING),
+        );
+        Observatory {
+            config: ObservatoryConfig {
+                name: "hand-built".into(),
+                date: String::new(),
+                n_v,
+            },
+            underlying: UnderlyingNetwork {
+                graph,
+                roles: Vec::new(),
+                core_supernode_degree: 0,
+                isolated_star_centers: Vec::new(),
+            },
             synthesizer,
             packet_seq: SeedSequence::new(seq.child_seed(palu_stats::rng::streams::PACKETS)),
             next_t: 0,
@@ -139,18 +173,66 @@ impl Observatory {
         attempt: u32,
         out: &mut Vec<crate::packets::Packet>,
     ) -> Result<(), WindowFault> {
-        let mut rng = if attempt == 0 {
+        let n_v = self.packets_per_window()?;
+        self.synthesizer
+            .draw_many_into(&mut self.attempt_rng(t, attempt), n_v, out)
+    }
+
+    /// The fused window kernel's mark pass over window `t`'s
+    /// `attempt`-th draw: the packets
+    /// [`Observatory::packets_at_retry_into`] would synthesize, each
+    /// recorded in `scratch` as [`PacketSynthesizer::mark_into`] says
+    /// instead of stored.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Observatory::packets_at_retry`].
+    pub(crate) fn mark_window_into(
+        &self,
+        t: u64,
+        attempt: u32,
+        marking: Marking,
+        scratch: &mut DegreeScratch,
+    ) -> Result<(), WindowFault> {
+        let n_v = self.packets_per_window()?;
+        self.synthesizer
+            .mark_into(&mut self.attempt_rng(t, attempt), n_v, marking, scratch)
+    }
+
+    /// [`Observatory::mark_window_into`] for `N_V` copies of the
+    /// window's first packet: an injected duplicate-edge storm.
+    pub(crate) fn mark_storm_into(
+        &self,
+        t: u64,
+        attempt: u32,
+        marking: Marking,
+        scratch: &mut DegreeScratch,
+    ) -> Result<(), WindowFault> {
+        let n_v = self.packets_per_window()?;
+        self.synthesizer.mark_copies_of_first_into(
+            &mut self.attempt_rng(t, attempt),
+            n_v,
+            marking,
+            scratch,
+        )
+    }
+
+    /// `N_V` as a `usize`, or [`WindowFault::BudgetUnrepresentable`].
+    fn packets_per_window(&self) -> Result<usize, WindowFault> {
+        usize::try_from(self.config.n_v).map_err(|_| WindowFault::BudgetUnrepresentable {
+            n_v: self.config.n_v,
+        })
+    }
+
+    /// The RNG of window `t`'s `attempt`-th draw.
+    fn attempt_rng(&self, t: u64, attempt: u32) -> Xoshiro256pp {
+        if attempt == 0 {
             self.packet_seq.window_rng(t)
         } else {
             let retry_seq =
                 SeedSequence::new(self.packet_seq.child_seed(palu_stats::rng::streams::RETRY));
             SeedSequence::new(retry_seq.child_seed(t)).rng(attempt as u64)
-        };
-        let n_v =
-            usize::try_from(self.config.n_v).map_err(|_| WindowFault::BudgetUnrepresentable {
-                n_v: self.config.n_v,
-            })?;
-        self.synthesizer.draw_many_into(&mut rng, n_v, out)
+        }
     }
 
     /// The window at index `t` — deterministic random access: the same

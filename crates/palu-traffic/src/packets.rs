@@ -33,9 +33,24 @@
 //! per packet under uniform intensity in closed form, against 22–58 ns
 //! through a guide table over the same uniform table, 36–67 ns under
 //! Pareto(1.5) intensity, and 125–170 ns for the binary search.
+//!
+//! **The fused window kernel.** A capture never stores its packets.
+//! `PacketSynthesizer::mark_into` replays `draw_many_into`'s draws,
+//! RNG order included, and marks each packet's undirected edge (or
+//! directed pair) in a `palu_sparse::DegreeScratch`, whose count pass
+//! then reads the window's distinct edges: `O(N_V)` marks plus
+//! `O(distinct edges)` counting, with no packet buffer, hash table or
+//! sort. The underlying network is a multigraph, so
+//! [`PacketSynthesizer::new`] names each undirected edge by its first
+//! conversation (its *canonical* conversation) and stores every later
+//! conversation over it, a *repeat*, with that name in place of its
+//! second endpoint (`conversation_store`). Conversations over the
+//! same `{min(u, v), max(u, v)}`, and only those, share a name, so the
+//! marked set is exactly the window's edge set.
 
 use crate::fault::WindowFault;
 use palu_graph::graph::Graph;
+use palu_sparse::{Conversations, DegreeScratch, Marking};
 use palu_stats::rng::Rng;
 
 /// One observed packet: a directed source → destination datagram.
@@ -75,14 +90,172 @@ const BLOCK: usize = 64;
 /// Draws packets from a network's conversations.
 #[derive(Debug, Clone)]
 pub struct PacketSynthesizer {
-    /// Conversation endpoints (one per underlying edge).
+    /// The conversations (one per underlying edge), as
+    /// [`conversation_store`] words.
     conversations: Vec<(u32, u32)>,
+    /// Distinct undirected edges `E′` among the conversations.
+    n_edges: usize,
+    /// Largest endpoint among the conversations, plus one.
+    n_ids: usize,
     /// How a uniform `x ∈ [0, total]` resolves to a conversation.
     lookup: Lookup,
     /// Total intensity: the last cumulative value, `E` under uniform
     /// intensity (0 only for an empty test synthesizer).
     total: f64,
     intensity: EdgeIntensity,
+}
+
+/// Flag bit of a conversation word's first half: a repeat.
+const REPEAT: u32 = 1 << 31;
+
+/// Flag bit of a repeat's second half: `u > v`.
+const ABOVE: u32 = 1 << 31;
+
+/// Flag bit of a repeat's second half: `u < v`.
+const BELOW: u32 = 1 << 30;
+
+/// Mask of a repeat's second half: its canonical conversation.
+const CANONICAL: u32 = BELOW - 1;
+
+/// The conversation store of `edges`, one word per conversation, and
+/// the number `E′` of distinct undirected edges.
+///
+/// The underlying graph is a multigraph: 225 141 conversations make
+/// 195 777 edges on the benchmark's shared network. The first
+/// conversation over an undirected edge `{min(u, v), max(u, v)}` is
+/// the edge's *canonical* conversation and is stored as `(u, v)`. A
+/// later one, parallel or reversed, is a *repeat*: stored as
+/// `(u | REPEAT, r | ABOVE or BELOW)`, with the index `r < 2^30` of
+/// the edge's canonical conversation in place of `v` (its other
+/// endpoint), and how `u` compares with `v`. So a packet finds its
+/// edge with no load beyond its conversation's word; node ids must lie
+/// below `2^31`.
+fn conversation_store(edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
+    let (repeats, n_edges) = repeats(edges);
+    let mut store = edges.to_vec();
+    for (i, r) in repeats {
+        if let Some(word) = store.get_mut(i) {
+            let (u, v) = *word;
+            let order = match u.cmp(&v) {
+                std::cmp::Ordering::Greater => ABOVE,
+                std::cmp::Ordering::Less => BELOW,
+                std::cmp::Ordering::Equal => 0,
+            };
+            *word = (u | REPEAT, r | order);
+        }
+    }
+    (store, n_edges)
+}
+
+/// Every repeat among the conversations `edges`, as `(index, canonical
+/// conversation)`, and the number `E′` of distinct undirected edges.
+///
+/// One stable bucket pass orders the conversations by their smaller
+/// endpoint `lo`, first one first. While node ids fit in
+/// [`WIDE_DIGIT`] bits, the pass's bucket array, one slot per id, then
+/// keeps for each larger endpoint `hi` the position of its first
+/// conversation in the current `lo` bucket, so a later one over the
+/// same `{lo, hi}` finds it in one load. Wider ids take
+/// [`NARROW_DIGIT`]-bit passes by `hi` first, so that the conversations
+/// over one edge end up adjacent. No comparison sort and no hash: `O(E)`
+/// work and at most `2^20` bucket slots.
+fn repeats(edges: &[(u32, u32)]) -> (Vec<(usize, u32)>, usize) {
+    let ends = |i: u32| {
+        edges
+            .get(i as usize)
+            .map_or((0, 0), |&(u, v)| (u.min(v), u.max(v)))
+    };
+    let top = edges.iter().fold(0, |top, &(u, v)| top.max(u).max(v));
+    let mut order = vec![0u32; edges.len()];
+    let mut counts = Vec::new();
+    let mut repeats = Vec::new();
+    if top >> WIDE_DIGIT == 0 {
+        let lo = |i: u32| ends(i).0 as usize;
+        scatter(0..edges.len() as u32, &mut order, &mut counts, top, lo);
+        // `counts[hi]` becomes one past the position of the current
+        // bucket's first conversation to `hi`, if past the bucket's start.
+        counts.fill(0);
+        let mut bucket = (0, None);
+        for (p, &i) in order.iter().enumerate() {
+            let (lo, hi) = ends(i);
+            if bucket.1 != Some(lo) {
+                bucket = (p, Some(lo));
+            }
+            if let Some(seen) = counts.get_mut(hi as usize) {
+                if *seen as usize > bucket.0 {
+                    let canonical = order.get(*seen as usize - 1).copied().unwrap_or(i);
+                    repeats.push((i as usize, canonical));
+                } else {
+                    *seen = p as u32 + 1;
+                }
+            }
+        }
+    } else {
+        let mut spare: Vec<u32> = (0..edges.len() as u32).collect();
+        let keys: [fn((u32, u32)) -> u32; 2] = [|(_, hi)| hi, |(lo, _)| lo];
+        for key in keys {
+            for shift in (0..32).step_by(NARROW_DIGIT as usize) {
+                let digit = |i: u32| (key(ends(i)) >> shift) as usize & 0xFFFF;
+                scatter(
+                    spare.iter().copied(),
+                    &mut order,
+                    &mut counts,
+                    0xFFFF,
+                    digit,
+                );
+                std::mem::swap(&mut order, &mut spare);
+            }
+        }
+        let mut current = None;
+        for &i in &spare {
+            let edge = ends(i);
+            match current {
+                Some((canonical, seen)) if seen == edge => repeats.push((i as usize, canonical)),
+                _ => current = Some((i, edge)),
+            }
+        }
+    }
+    let n_edges = edges.len() - repeats.len();
+    (repeats, n_edges)
+}
+
+/// Key width below which [`repeats`] orders the conversations in one
+/// counting pass, with one bucket per node id.
+const WIDE_DIGIT: u32 = 20;
+
+/// Digit width of [`repeats`]' passes over wider node ids.
+const NARROW_DIGIT: u32 = 16;
+
+/// One stable counting pass: place the conversation indices `source`
+/// in `out` in order of `digit`, which is at most `max`, with `counts`
+/// as bucket space. Leaves `counts[d]` at the end of bucket `d`.
+fn scatter(
+    source: impl Iterator<Item = u32> + Clone,
+    out: &mut [u32],
+    counts: &mut Vec<u32>,
+    max: u32,
+    digit: impl Fn(u32) -> usize,
+) {
+    counts.clear();
+    counts.resize(max as usize + 2, 0);
+    for i in source.clone() {
+        if let Some(c) = counts.get_mut(digit(i) + 1) {
+            *c += 1;
+        }
+    }
+    let mut sum = 0;
+    for c in counts.iter_mut() {
+        sum += *c;
+        *c = sum;
+    }
+    for i in source {
+        if let Some(c) = counts.get_mut(digit(i)) {
+            if let Some(slot) = out.get_mut(*c as usize) {
+                *slot = i;
+            }
+            *c += 1;
+        }
+    }
 }
 
 /// The conversation lookup, fixed by the [`EdgeIntensity`] at
@@ -122,27 +295,28 @@ impl PacketSynthesizer {
     /// # Panics
     ///
     /// Panics if `g` has no edges (no traffic to synthesize), has more
-    /// than `u32::MAX` edges (the guide table indexes conversations
-    /// with `u32`, and the uniform total `E` must be an exact `f64`),
-    /// or the Pareto shape is not positive.
+    /// than `2^31` edges (directed pair ids, two per conversation, are
+    /// `u32`, as are the guide table's conversation indices, and the
+    /// uniform total `E` must be an exact `f64`), or the Pareto shape
+    /// is not positive.
     pub fn new<R: Rng + ?Sized>(g: &Graph, intensity: EdgeIntensity, rng: &mut R) -> Self {
         assert!(
             g.n_edges() > 0,
             "cannot synthesize traffic from an edgeless network"
         );
         assert!(
-            u32::try_from(g.n_edges()).is_ok(),
-            "more conversations than the guide table can index"
+            g.n_edges() <= palu_sparse::MAX_CONVERSATIONS,
+            "more conversations than the window kernel can mark"
         );
-        let conversations: Vec<(u32, u32)> = g.edges().to_vec();
-        let e = conversations.len();
+        assert!(
+            g.n_nodes() <= REPEAT,
+            "node ids must lie below 2^31 (the conversation store flags repeats in the top bit)"
+        );
+        let e = g.n_edges();
         match intensity {
-            EdgeIntensity::Uniform => PacketSynthesizer {
-                total: e as f64,
-                conversations,
-                lookup: Lookup::Uniform,
-                intensity,
-            },
+            EdgeIntensity::Uniform => {
+                Self::with_lookup(g.edges(), Lookup::Uniform, e as f64, intensity)
+            }
             EdgeIntensity::Pareto { shape } => {
                 assert!(shape > 0.0, "Pareto shape must be positive");
                 let mut cumulative = Vec::with_capacity(palu_sparse::admitted_capacity(e));
@@ -152,15 +326,39 @@ impl PacketSynthesizer {
                     acc += u.powf(-1.0 / shape); // Pareto(scale=1, shape)
                     acc
                 }));
-                Self::from_cumulative(conversations, cumulative, intensity)
+                Self::from_cumulative(g.edges(), cumulative, intensity)
             }
+        }
+    }
+
+    /// A synthesizer over the conversations `edges`, with `lookup`
+    /// resolving uniforms up to `total`.
+    fn with_lookup(
+        edges: &[(u32, u32)],
+        lookup: Lookup,
+        total: f64,
+        intensity: EdgeIntensity,
+    ) -> Self {
+        let (conversations, n_edges) = conversation_store(edges);
+        let n_ids = edges
+            .iter()
+            .map(|&(u, v)| u.max(v) as usize + 1)
+            .max()
+            .unwrap_or(0);
+        PacketSynthesizer {
+            conversations,
+            n_edges,
+            n_ids,
+            lookup,
+            total,
+            intensity,
         }
     }
 
     /// A weighted synthesizer: build the guide table over `cumulative`
     /// (non-decreasing; empty only in tests) in one forward pass.
     fn from_cumulative(
-        conversations: Vec<(u32, u32)>,
+        edges: &[(u32, u32)],
         cumulative: Vec<f64>,
         intensity: EdgeIntensity,
     ) -> Self {
@@ -181,16 +379,12 @@ impl PacketSynthesizer {
                 i as u32
             })
             .collect();
-        PacketSynthesizer {
-            conversations,
-            lookup: Lookup::Weighted(GuideTable {
-                cumulative,
-                guide,
-                scale,
-            }),
-            total,
-            intensity,
-        }
+        let table = GuideTable {
+            cumulative,
+            guide,
+            scale,
+        };
+        Self::with_lookup(edges, Lookup::Weighted(table), total, intensity)
     }
 
     /// Number of conversations (underlying edges).
@@ -237,15 +431,24 @@ impl PacketSynthesizer {
 
     /// The packet conversation `idx` yields, oriented by `forward`.
     fn packet(&self, idx: usize, forward: bool) -> Result<Packet, WindowFault> {
-        let &(u, v) = self
+        let &word = self
             .conversations
             .get(idx)
             .ok_or(WindowFault::EmptySynthesizer)?;
-        Ok(if forward {
-            Packet { src: u, dst: v }
-        } else {
-            Packet { src: v, dst: u }
-        })
+        let (u, v) = self.endpoints(word);
+        Ok(oriented(u, v, forward))
+    }
+
+    /// The endpoints `(u, v)` of the conversation stored as `word`: a
+    /// repeat's `v` is the other endpoint of its canonical
+    /// conversation's edge.
+    fn endpoints(&self, (u, w): (u32, u32)) -> (u32, u32) {
+        if u & REPEAT == 0 {
+            return (u, w);
+        }
+        let u = u & !REPEAT;
+        let (lo, hi) = self.ends(w & CANONICAL);
+        (u, lo ^ hi ^ u)
     }
 
     /// Draw one packet: pick a conversation by intensity, orient it
@@ -300,13 +503,94 @@ impl PacketSynthesizer {
         out: &mut Vec<Packet>,
     ) -> Result<(), WindowFault> {
         out.clear();
+        if n > 0 && !self.conversations.is_empty() {
+            out.reserve(palu_sparse::admitted_capacity(n));
+        }
+        self.for_each_draw(rng, n, |_, word, forward| {
+            let (u, v) = self.endpoints(word);
+            out.push(oriented(u, v, forward));
+        })
+    }
+
+    /// The fused window kernel's mark pass: replay
+    /// [`PacketSynthesizer::draw_many_into`]'s `n` draws, RNG order
+    /// included, but instead of storing each packet mark its
+    /// conversation or, for [`Marking::Pairs`], its directed pair in
+    /// `scratch`, which starts a new window first. The window is sparse
+    /// when `n` is below the number of distinct edges `E′`. A count pass
+    /// (`DegreeScratch::*_of_marks` over this synthesizer's
+    /// [`Conversations`]) then reads it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PacketSynthesizer::draw`]'s fault.
+    pub(crate) fn mark_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        n: usize,
+        marking: Marking,
+        scratch: &mut DegreeScratch,
+    ) -> Result<(), WindowFault> {
+        let mut marker = scratch.begin_marks(marking, self, n);
+        match marking {
+            Marking::Edges => self.for_each_draw(rng, n, |i, (u, w), _| {
+                let (id, known) = edge_of(i, (u, w));
+                marker.mark_edge(id, u, w, known);
+            }),
+            Marking::Pairs => self.for_each_draw(rng, n, |i, word, forward| {
+                let (id, reversed, p, known) = mark_of(i, word, forward);
+                marker.mark_pair(id, reversed, p.src, p.dst, 1, known);
+            }),
+        }
+    }
+
+    /// [`PacketSynthesizer::mark_into`] for a window of `n` copies of
+    /// the first packet `draw_many_into` would draw: the window a
+    /// duplicate-edge storm leaves.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`PacketSynthesizer::draw`]'s fault.
+    pub(crate) fn mark_copies_of_first_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        n: usize,
+        marking: Marking,
+        scratch: &mut DegreeScratch,
+    ) -> Result<(), WindowFault> {
+        let mut marker = scratch.begin_marks(marking, self, n.min(1));
+        let mut first = None;
+        self.for_each_draw(rng, n.min(1), |i, word, forward| {
+            first = Some((i, word, forward));
+        })?;
+        if let Some((i, word, forward)) = first {
+            let (id, reversed, p, known) = mark_of(i, word, forward);
+            match marking {
+                Marking::Edges => marker.mark_edge(id, p.src, p.dst, known),
+                Marking::Pairs => marker.mark_pair(id, reversed, p.src, p.dst, n as u64, known),
+            }
+        }
+        Ok(())
+    }
+
+    /// Draw `n` conversations and directions, in blocks, calling
+    /// `visit(i, word, forward)` on each conversation `i` drawn, with
+    /// its store word, in draw order. Consumes the RNG exactly as `n`
+    /// calls of [`PacketSynthesizer::draw`] do: an `f64` then a `bool`
+    /// per packet.
+    // lint:hot
+    fn for_each_draw<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        n: usize,
+        mut visit: impl FnMut(u32, (u32, u32), bool),
+    ) -> Result<(), WindowFault> {
         if n == 0 {
             return Ok(());
         }
         if self.conversations.is_empty() {
             return Err(WindowFault::EmptySynthesizer);
         }
-        out.reserve(palu_sparse::admitted_capacity(n));
         let mut xs = [0.0f64; BLOCK];
         let mut forward = [false; BLOCK];
         let mut idx = [0usize; BLOCK];
@@ -320,7 +604,11 @@ impl PacketSynthesizer {
             }
             self.resolve(&xs, &mut idx, len);
             for (&i, &f) in idx.iter().zip(forward.iter()).take(len) {
-                out.push(self.packet(i, f)?);
+                let &word = self
+                    .conversations
+                    .get(i)
+                    .ok_or(WindowFault::EmptySynthesizer)?;
+                visit(i as u32, word, f);
             }
         }
         Ok(())
@@ -379,6 +667,69 @@ impl GuideTable {
     }
 }
 
+/// The packet `(u, v)` when `forward`, `(v, u)` otherwise.
+fn oriented(u: u32, v: u32, forward: bool) -> Packet {
+    if forward {
+        Packet { src: u, dst: v }
+    } else {
+        Packet { src: v, dst: u }
+    }
+}
+
+impl Conversations for PacketSynthesizer {
+    fn n_conversations(&self) -> usize {
+        self.conversations.len()
+    }
+
+    fn n_edges(&self) -> usize {
+        self.n_edges
+    }
+
+    fn n_ids(&self) -> usize {
+        self.n_ids
+    }
+
+    fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        let canonical = self.conversations.iter().enumerate();
+        canonical
+            .filter(|(_, &(u, _))| u & REPEAT == 0)
+            .map(|(i, &(u, v))| (i as u32, u.min(v), u.max(v)))
+    }
+
+    fn ends(&self, i: u32) -> (u32, u32) {
+        let (u, v) = self
+            .conversations
+            .get(i as usize)
+            .copied()
+            .unwrap_or((0, 0));
+        (u.min(v), u.max(v))
+    }
+}
+
+/// The edge conversation `i`, stored as `(u, w)`, runs over: `(id,
+/// known)`, with `id` the edge's canonical conversation and `known`
+/// whether `u` and `w` are its endpoints (a repeat's are not). No
+/// branch: the select compiles to a conditional move.
+// lint:hot
+fn edge_of(i: u32, (u, w): (u32, u32)) -> (u32, bool) {
+    let repeat = u & REPEAT != 0;
+    (if repeat { w & CANONICAL } else { i }, !repeat)
+}
+
+/// What the packet drawn from conversation `i`, stored as `(u, w)`, in
+/// direction `forward`, marks: `(id, reversed, packet, known)`, with
+/// `(id, known)` as [`edge_of`] says, `reversed` whether the packet runs
+/// from the edge's larger endpoint to its smaller, and `packet` right
+/// only when `known`.
+// lint:hot
+fn mark_of(i: u32, (u, w): (u32, u32), forward: bool) -> (u32, bool, Packet, bool) {
+    let (id, known) = edge_of(i, (u, w));
+    let p = oriented(u, w, forward);
+    let side = if forward { ABOVE } else { BELOW };
+    let reversed = if known { p.src > p.dst } else { w & side != 0 };
+    (id, reversed, p, known)
+}
+
 /// The conversation a uniform `x ∈ [0, E]` selects under uniform
 /// intensity: `⌈x⌉ − 1`, saturated at 0. That is the count of
 /// `j ∈ 1..=E` with `j < x`, which is what `partition_point` returns
@@ -430,9 +781,10 @@ mod tests {
                 acc
             })
             .collect();
-        let conversations = (0..weights.len() as u32).map(|i| (i, i + 1)).collect();
+        let conversations: Vec<(u32, u32)> =
+            (0..weights.len() as u32).map(|i| (i, i + 1)).collect();
         let syn = PacketSynthesizer::from_cumulative(
-            conversations,
+            &conversations,
             cumulative,
             EdgeIntensity::Pareto { shape: 1.0 },
         );
@@ -551,12 +903,8 @@ mod tests {
 
     #[test]
     fn an_empty_synthesizer_faults_only_when_asked_for_packets() {
-        let empty_uniform = PacketSynthesizer {
-            conversations: Vec::new(),
-            lookup: Lookup::Uniform,
-            total: 0.0,
-            intensity: EdgeIntensity::Uniform,
-        };
+        let empty_uniform =
+            PacketSynthesizer::with_lookup(&[], Lookup::Uniform, 0.0, EdgeIntensity::Uniform);
         for syn in [from_weights(&[]), empty_uniform] {
             let mut rng = Xoshiro256pp::seed_from_u64(13);
             let mut out = vec![Packet { src: 1, dst: 2 }];
@@ -567,6 +915,177 @@ mod tests {
                 Err(WindowFault::EmptySynthesizer)
             );
             assert_eq!(syn.draw(&mut rng), Err(WindowFault::EmptySynthesizer));
+            let mut scratch = DegreeScratch::new();
+            for marking in [Marking::Edges, Marking::Pairs] {
+                assert_eq!(syn.mark_into(&mut rng, 0, marking, &mut scratch), Ok(()));
+                assert_eq!(
+                    syn.mark_into(&mut rng, 1, marking, &mut scratch),
+                    Err(WindowFault::EmptySynthesizer)
+                );
+                assert_eq!(
+                    syn.mark_copies_of_first_into(&mut rng, 1, marking, &mut scratch),
+                    Err(WindowFault::EmptySynthesizer)
+                );
+            }
+        }
+    }
+
+    /// Conversations over 8 nodes with parallel edges, reversed
+    /// duplicates and self-loops: 12 conversations over 6 edges.
+    const MULTIGRAPH: [(u32, u32); 12] = [
+        (0, 1),
+        (1, 0),
+        (0, 1),
+        (2, 2),
+        (2, 2),
+        (3, 4),
+        (1, 2),
+        (4, 3),
+        (5, 5),
+        (2, 1),
+        (6, 7),
+        (0, 1),
+    ];
+
+    fn multigraph() -> Graph {
+        let mut g = Graph::with_nodes(8);
+        for (u, v) in MULTIGRAPH {
+            g.add_edge(u, v);
+        }
+        g
+    }
+
+    /// Each conversation's first conversation over its undirected edge,
+    /// found with a map.
+    fn first_over_edge(edges: &[(u32, u32)]) -> Vec<u32> {
+        let mut first = std::collections::BTreeMap::new();
+        (0..edges.len() as u32)
+            .map(|i| {
+                let (u, v) = edges[i as usize];
+                *first.entry((u.min(v), u.max(v))).or_insert(i)
+            })
+            .collect()
+    }
+
+    /// `repeats` against the map reference.
+    fn assert_repeats(edges: &[(u32, u32)]) {
+        let first = first_over_edge(edges);
+        let expected: Vec<(usize, u32)> = first
+            .iter()
+            .enumerate()
+            .filter(|&(i, &f)| f as usize != i)
+            .map(|(i, &f)| (i, f))
+            .collect();
+        let distinct = first
+            .iter()
+            .enumerate()
+            .filter(|&(i, &f)| f as usize == i)
+            .count();
+        let (mut found, n_edges) = repeats(edges);
+        found.sort_unstable();
+        assert_eq!(
+            (found, n_edges),
+            (expected, distinct),
+            "{} conversations",
+            edges.len()
+        );
+    }
+
+    #[test]
+    fn repeats_share_an_id_exactly_when_their_undirected_edge_is_the_same() {
+        assert_repeats(&MULTIGRAPH);
+        assert_repeats(&[]);
+        assert_repeats(&[(3, 3)]);
+        let mut rng = Xoshiro256pp::seed_from_u64(14);
+        for span in [2u32, 30, 1_000, 1 << 19] {
+            let edges: Vec<(u32, u32)> = (0..3_000)
+                .map(|_| (rng.gen_range(0..span), rng.gen_range(0..span)))
+                .collect();
+            assert_repeats(&edges);
+        }
+    }
+
+    #[test]
+    fn repeats_stay_exact_with_node_ids_near_u32_max() {
+        // Keys past 2^20 take the 16-bit digit passes. Only the map is
+        // checked: the store and the counting accumulator need ids
+        // below 2^31.
+        let top = u32::MAX;
+        let mut edges = vec![
+            (top, top - 1),
+            (top - 1, top),
+            (0, top),
+            (top, top),
+            (top, 0),
+            (top, top),
+            (1 << 20, 5),
+            (5, 1 << 20),
+            (top - 65_536, top),
+            (top, top - 65_536),
+        ];
+        let mut rng = Xoshiro256pp::seed_from_u64(15);
+        for _ in 0..2_000 {
+            let u = top - rng.gen_range(0..70_000);
+            let v = if rng.gen_bool(0.5) {
+                rng.gen_range(0..100)
+            } else {
+                top - rng.gen_range(0..70_000)
+            };
+            edges.push((u, v));
+        }
+        assert_repeats(&edges);
+    }
+
+    #[test]
+    fn the_store_keeps_every_conversation_and_names_its_edge() {
+        let mut rng = Xoshiro256pp::seed_from_u64(16);
+        let syn = PacketSynthesizer::new(&multigraph(), EdgeIntensity::Uniform, &mut rng);
+        let first = first_over_edge(&MULTIGRAPH);
+        assert_eq!(syn.n_edges(), 6);
+        assert_eq!(syn.n_ids(), 8);
+        for (i, (&word, &(u, v))) in syn.conversations.iter().zip(&MULTIGRAPH).enumerate() {
+            let i = i as u32;
+            assert_eq!(syn.endpoints(word), (u, v), "conversation {i}");
+            for forward in [true, false] {
+                let p = oriented(u, v, forward);
+                let (id, reversed, q, known) = mark_of(i, word, forward);
+                assert_eq!(id, first[i as usize], "conversation {i}");
+                assert_eq!(known, id == i);
+                assert_eq!(reversed, p.src > p.dst, "{i} {forward}");
+                if known {
+                    assert_eq!(q, p);
+                }
+            }
+        }
+        let edges: Vec<(u32, u32, u32)> = syn.edges().collect();
+        let expected: Vec<(u32, u32, u32)> = (0..12u32)
+            .filter(|&i| first[i as usize] == i)
+            .map(|i| {
+                let (u, v) = MULTIGRAPH[i as usize];
+                (i, u.min(v), u.max(v))
+            })
+            .collect();
+        assert_eq!(edges, expected);
+        for (i, lo, hi) in edges {
+            assert_eq!(syn.ends(i), (lo, hi));
+        }
+    }
+
+    #[test]
+    fn multigraph_packets_are_its_conversations_in_draw_order() {
+        for intensity in [EdgeIntensity::Uniform, EdgeIntensity::Pareto { shape: 1.2 }] {
+            let mut rng = Xoshiro256pp::seed_from_u64(17);
+            let syn = PacketSynthesizer::new(&multigraph(), intensity, &mut rng);
+            let mut a = Xoshiro256pp::seed_from_u64(18);
+            let mut b = Xoshiro256pp::seed_from_u64(18);
+            let looped: Vec<Packet> = (0..500).map(|_| syn.draw(&mut a).unwrap()).collect();
+            assert_eq!(syn.draw_many(&mut b, 500).unwrap(), looped);
+            for p in looped {
+                assert!(
+                    MULTIGRAPH.contains(&(p.src, p.dst)) || MULTIGRAPH.contains(&(p.dst, p.src)),
+                    "{p:?}"
+                );
+            }
         }
     }
 

@@ -7,7 +7,7 @@
 //! one [`PooledDistribution`] produced by this pipeline.
 //!
 //! One capture engine, [`Pipeline::pool_observatory_governed`], runs
-//! the expensive synthesize → window → histogram → bin stages on one
+//! the expensive synthesize → histogram → bin stages on one
 //! work-stealing executor, each window drawing from its own splittable
 //! RNG stream ([`palu_stats::rng::SeedSequence::window_rng`]). The
 //! per-window [`BinStats`] results are merged on the calling thread
@@ -27,10 +27,10 @@ use crate::fault::{
 use crate::journal::{Journal, Recovery, WindowEntry, WindowResult};
 use crate::metrics::{time_stage, Metrics, Stage};
 use crate::observatory::Observatory;
-use crate::packets::Packet;
+use crate::packets::{Packet, PacketSynthesizer};
 use crate::window::PacketWindow;
 use palu_sparse::quantities::NetworkQuantity;
-use palu_sparse::{DegreeScratch, EdgeKeys};
+use palu_sparse::{DegreeScratch, EdgeKeys, Marking};
 use palu_stats::histogram::DegreeHistogram;
 use palu_stats::logbin::DifferentialCumulative;
 use palu_stats::summary::BinStats;
@@ -116,30 +116,44 @@ impl Measurement {
             Measurement::NodeVolume => scratch.node_volume_of_keys(),
         })
     }
-}
 
-/// Per-worker reusable buffers for the hot synthesize → window →
-/// histogram path. Each pipeline worker owns exactly one arena for its
-/// whole lifetime and threads it through every window (and retry
-/// attempt) it processes, so the steady state allocates nothing: the
-/// packet buffer and the packet-level kernel's keys and accumulators
-/// are recycled. No window matrix is ever built.
-///
-/// Crossing a `catch_unwind` boundary with the arena is sound: a
-/// panicked attempt can only leave stale buffer contents behind (never
-/// a broken invariant), and every stage clears or resets its buffers
-/// before reading them.
-#[derive(Debug, Default)]
-struct WorkerArena {
-    /// Synthesized packets for the current attempt.
-    packets: Vec<Packet>,
-    /// The packet-level kernel's keys and counting buffers.
-    degree: DegreeScratch,
-}
+    /// The fused window kernel: this measurement's histogram of window
+    /// `t`'s `attempt`-th draw, with no packet buffer. Each packet is
+    /// recorded as it is drawn, by its canonical edge or directed pair
+    /// (`Observatory::mark_window_into`), and a count pass then reads
+    /// the window's distinct edges. The result **equals**
+    /// `self.histogram_of_packets(&obs.packets_at_retry(t, attempt)?, _)`.
+    ///
+    /// # Errors
+    ///
+    /// The synthesizer's fault, as [`Observatory::packets_at_retry`].
+    pub fn histogram_of_window(
+        &self,
+        obs: &Observatory,
+        t: u64,
+        attempt: u32,
+        scratch: &mut DegreeScratch,
+    ) -> Result<DegreeHistogram, WindowFault> {
+        obs.mark_window_into(t, attempt, self.marking(), scratch)?;
+        Ok(self.count_marks(obs.synthesizer(), scratch))
+    }
 
-impl WorkerArena {
-    fn new() -> Self {
-        Self::default()
+    /// What the fused kernel's mark pass records for this measurement.
+    fn marking(&self) -> Marking {
+        match self {
+            Measurement::UndirectedDegree => Marking::Edges,
+            Measurement::NodeVolume | Measurement::Quantity(_) => Marking::Pairs,
+        }
+    }
+
+    /// The fused kernel's count pass over a window marked with
+    /// [`Measurement::marking`] by `syn`.
+    fn count_marks(&self, syn: &PacketSynthesizer, scratch: &mut DegreeScratch) -> DegreeHistogram {
+        match self {
+            Measurement::Quantity(q) => scratch.quantity_of_marks(*q, syn),
+            Measurement::UndirectedDegree => scratch.undirected_degree_of_marks(syn),
+            Measurement::NodeVolume => scratch.node_volume_of_marks(syn),
+        }
     }
 }
 
@@ -283,7 +297,7 @@ impl Pipeline {
     }
 
     /// The capture engine: pool the next `n` consecutive windows of
-    /// `obs` with the synthesize → window → histogram → bin stages run
+    /// `obs` with the synthesize → histogram → bin stages run
     /// on up to `threads` workers (DESIGN.md §4d–§4g).
     ///
     /// **Determinism.** Each window draws from its own splittable RNG
@@ -445,7 +459,7 @@ impl Pipeline {
                 .map(|p| p.get().max(2))
                 .unwrap_or(threads),
         );
-        let mut arenas: Vec<WorkerArena> = (0..workers).map(|_| WorkerArena::new()).collect();
+        let mut arenas: Vec<DegreeScratch> = (0..workers).map(|_| DegreeScratch::new()).collect();
         let capture = Capture {
             measurement,
             obs: &*obs,
@@ -895,7 +909,7 @@ struct Capture<'a> {
 fn execute(
     capture: &Capture<'_>,
     batch: &[usize],
-    arenas: &mut [WorkerArena],
+    arenas: &mut [DegreeScratch],
     slots: &mut [Option<WindowSlot>],
 ) {
     let cursor = std::sync::atomic::AtomicUsize::new(0);
@@ -937,10 +951,13 @@ fn execute(
 /// Drive one window through its attempt loop and dispose of it per the
 /// policy. Pure in `(t, attempt)` given the observatory seed and the
 /// injector, so the outcome is independent of thread placement.
-/// `arena` is the worker's reusable buffer set — every attempt clears
-/// and refills what it uses, so its incoming contents never matter.
+/// `arena` is the worker's scratch, which it keeps for the whole
+/// capture (the fused kernel's marks and counting buffers, so the
+/// steady state allocates nothing but the result histograms); every
+/// attempt starts by clearing what it uses, so its incoming contents
+/// never matter.
 // lint:hot
-fn process_window(capture: &Capture<'_>, t: u64, arena: &mut WorkerArena) -> WindowSlot {
+fn process_window(capture: &Capture<'_>, t: u64, arena: &mut DegreeScratch) -> WindowSlot {
     let policy = capture.policy;
     let mut last_fault: Option<WindowFault> = None;
     let mut injected = 0u64;
@@ -1067,15 +1084,15 @@ fn process_window(capture: &Capture<'_>, t: u64, arena: &mut WorkerArena) -> Win
 
 /// One panic-contained attempt at a window. The arena crossing the
 /// `catch_unwind` boundary is sound: a panicked attempt can only
-/// leave stale buffer contents behind (never a broken invariant), and
-/// every stage clears or resets its buffers before reading them.
+/// leave stale marks and counts behind (never a broken invariant), and
+/// the next attempt's mark pass clears them before marking.
 fn attempt_window(
     capture: &Capture<'_>,
     t: u64,
     attempt: u32,
     plan: Option<InjectedFault>,
     deadline_ms: Option<u64>,
-    arena: &mut WorkerArena,
+    arena: &mut DegreeScratch,
 ) -> Result<(BinStats, Option<u64>, DegreeHistogram), WindowFault> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_window_attempt(capture, t, attempt, plan, deadline_ms, arena)
@@ -1098,10 +1115,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The synthesize → window → histogram → bin stages for one attempt at
-/// window `t`, with fault classification and (optional) injection.
-/// With `plan = None` and a healthy window this replays the exact
-/// float-op sequence of the pre-fault-tolerance worker, preserving the
+/// The mark → count → bin stages of the fused window kernel
+/// ([`Measurement::histogram_of_window`]) for one attempt at window
+/// `t`, with fault classification and (optional) injection. The mark
+/// pass reports as [`Stage::Synthesize`] and the count pass as
+/// [`Stage::Histogram`]; nothing runs as [`Stage::Window`]. With
+/// `plan = None` and a healthy window this replays the exact float-op
+/// sequence of the pre-fault-tolerance worker, preserving the
 /// bit-identity contract.
 // lint:hot
 fn run_window_attempt(
@@ -1110,7 +1130,7 @@ fn run_window_attempt(
     attempt: u32,
     plan: Option<InjectedFault>,
     deadline_ms: Option<u64>,
-    arena: &mut WorkerArena,
+    arena: &mut DegreeScratch,
 ) -> Result<(BinStats, Option<u64>, DegreeHistogram), WindowFault> {
     let Capture {
         measurement,
@@ -1126,32 +1146,22 @@ fn run_window_attempt(
         let ms = deadline_ms.map_or(30, |d| d.saturating_add(25));
         std::thread::sleep(std::time::Duration::from_millis(ms));
     }
+    let marking = measurement.marking();
     time_stage(metrics, Stage::Synthesize, || {
-        obs.packets_at_retry_into(t, attempt, &mut arena.packets)
+        if plan == Some(InjectedFault::DuplicateStorm) {
+            obs.mark_storm_into(t, attempt, marking, arena)
+        } else {
+            obs.mark_window_into(t, attempt, marking, arena)
+        }
     })?;
-    let packets = &mut arena.packets;
-    if let Some(m) = metrics {
-        m.add_packets(packets.len() as u64);
-    }
-    match plan {
-        Some(InjectedFault::Truncate) => {
-            let keep = packets.len() / 2;
-            packets.truncate(keep);
-        }
-        Some(InjectedFault::DuplicateStorm) => {
-            if let Some(&first) = packets.first() {
-                for p in packets.iter_mut() {
-                    *p = first;
-                }
-            }
-        }
-        _ => {}
-    }
     let n_v = obs.config().n_v;
-    if packets.len() as u64 != n_v {
+    if let Some(m) = metrics {
+        m.add_packets(n_v);
+    }
+    if plan == Some(InjectedFault::Truncate) && n_v / 2 != n_v {
         return Err(WindowFault::Truncated {
             expected: n_v,
-            actual: packets.len() as u64,
+            actual: n_v / 2,
         });
     }
     if plan == Some(InjectedFault::WorkerPanic) {
@@ -1160,7 +1170,21 @@ fn run_window_attempt(
         // lint:allow(R8)
         panic!("injected fault: worker panic in window {t} (attempt {attempt})");
     }
-    let h = measurement.histogram_of_packets_timed(packets, &mut arena.degree, metrics);
+    let h = time_stage(metrics, Stage::Histogram, || {
+        measurement.count_marks(obs.synthesizer(), arena)
+    });
+    bin_window(h, n_v, t, plan, metrics)
+}
+
+/// Classify the histogram `h` of window `t` (`n_v` packets, injection
+/// `plan`) and bin it: the stages after the count.
+fn bin_window(
+    h: DegreeHistogram,
+    n_v: u64,
+    t: u64,
+    plan: Option<InjectedFault>,
+    metrics: Option<&Metrics>,
+) -> Result<(BinStats, Option<u64>, DegreeHistogram), WindowFault> {
     if n_v > 0 && h.is_empty() {
         return Err(WindowFault::EmptyHistogram);
     }
@@ -1198,6 +1222,7 @@ mod tests {
     use crate::observatory::{Observatory, ObservatoryConfig};
     use crate::packets::{EdgeIntensity, Packet};
     use palu_graph::palu_gen::PaluGenerator;
+    use palu_sparse::Conversations;
 
     /// One unbudgeted, unjournaled capture of `n` windows.
     fn capture(
@@ -1875,5 +1900,146 @@ mod tests {
         // Sources 0 (→1,2) and 1 (→0).
         assert_eq!(fanout.count(2), 1);
         assert_eq!(fanout.count(1), 1);
+    }
+
+    /// Every measurement the engine pools.
+    fn all_measurements() -> Vec<Measurement> {
+        let mut all = vec![Measurement::UndirectedDegree, Measurement::NodeVolume];
+        all.extend(NetworkQuantity::ALL.map(Measurement::Quantity));
+        all
+    }
+
+    /// A multigraph over 60 nodes: 50 ordinary conversations (four of
+    /// them reverse others), 10 parallel ones, 10 reversed duplicates
+    /// and 6 self-loops, each doubled — 52 distinct edges in 82
+    /// conversations.
+    fn multigraph() -> palu_graph::graph::Graph {
+        let mut g = palu_graph::graph::Graph::with_nodes(60);
+        let partner = |i: u32| (i * 7 + 3) % 60;
+        for i in 0..50 {
+            g.add_edge(i, partner(i));
+        }
+        for i in 0..10 {
+            g.add_edge(i, partner(i));
+        }
+        for i in 10..20 {
+            g.add_edge(partner(i), i);
+        }
+        for i in 50..56 {
+            g.add_edge(i, i);
+            g.add_edge(i, i);
+        }
+        g
+    }
+
+    /// Window sizes sparser and denser than the multigraph's 52 edges,
+    /// so the count pass walks its list and scans its edges.
+    const WINDOW_SIZES: [u64; 3] = [8, 40, 400];
+
+    #[test]
+    fn fused_window_equals_the_packet_kernel() {
+        let intensities = [EdgeIntensity::Uniform, EdgeIntensity::Pareto { shape: 1.2 }];
+        // One fused scratch for every measurement and window, so the
+        // residue of each count meets the next.
+        let mut fused = DegreeScratch::new();
+        let mut reference = DegreeScratch::new();
+        for intensity in intensities {
+            for n_v in WINDOW_SIZES {
+                let obs = Observatory::over_graph(multigraph(), intensity, n_v, 21);
+                let syn = obs.synthesizer();
+                assert_eq!((syn.n_conversations(), syn.n_edges()), (82, 52));
+                for t in 0..3 {
+                    for attempt in 0..3 {
+                        let packets = obs.packets_at_retry(t, attempt).unwrap();
+                        for m in all_measurements() {
+                            assert_eq!(
+                                m.histogram_of_window(&obs, t, attempt, &mut fused),
+                                Ok(m.histogram_of_packets(&packets, &mut reference)),
+                                "{m:?}, {intensity:?}, N_V {n_v}, window {t}, attempt {attempt}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One attempt at window `t` the way the engine ran it over a packet
+    /// buffer before the fused kernel: synthesize, apply the injected
+    /// fault to the packets, count them with the packet-level kernel,
+    /// then classify and bin.
+    fn packet_buffer_attempt(
+        obs: &Observatory,
+        measurement: Measurement,
+        t: u64,
+        attempt: u32,
+        plan: Option<InjectedFault>,
+    ) -> Result<(BinStats, Option<u64>, DegreeHistogram), WindowFault> {
+        let mut packets = obs.packets_at_retry(t, attempt)?;
+        match plan {
+            Some(InjectedFault::Truncate) => packets.truncate(packets.len() / 2),
+            Some(InjectedFault::DuplicateStorm) => {
+                if let Some(&first) = packets.first() {
+                    packets.fill(first);
+                }
+            }
+            _ => {}
+        }
+        let n_v = obs.config().n_v;
+        if packets.len() as u64 != n_v {
+            return Err(WindowFault::Truncated {
+                expected: n_v,
+                actual: packets.len() as u64,
+            });
+        }
+        if plan == Some(InjectedFault::WorkerPanic) {
+            panic!("injected fault: worker panic in window {t} (attempt {attempt})");
+        }
+        let h = measurement.histogram_of_packets(&packets, &mut DegreeScratch::new());
+        bin_window(h, n_v, t, plan, None)
+    }
+
+    #[test]
+    fn injected_faults_classify_the_same_as_over_a_packet_buffer() {
+        let plans = [
+            None,
+            Some(InjectedFault::Truncate),
+            Some(InjectedFault::NanBin),
+            Some(InjectedFault::DuplicateStorm),
+            Some(InjectedFault::WorkerPanic),
+            Some(InjectedFault::Stall),
+            Some(InjectedFault::Ballast),
+        ];
+        let policy = FailurePolicy::strict();
+        // One arena throughout: a panicked attempt's marks meet the next
+        // attempt.
+        let mut arena = DegreeScratch::new();
+        for n_v in WINDOW_SIZES {
+            let obs = Observatory::over_graph(multigraph(), EdgeIntensity::Uniform, n_v, 22);
+            for measurement in all_measurements() {
+                let capture = Capture {
+                    measurement,
+                    obs: &obs,
+                    start_t: 0,
+                    metrics: None,
+                    policy: &policy,
+                    injector: None,
+                    journal: None,
+                };
+                for plan in plans {
+                    let (t, attempt) = (3, 1);
+                    let fused = attempt_window(&capture, t, attempt, plan, None, &mut arena);
+                    let reference = std::panic::catch_unwind(|| {
+                        packet_buffer_attempt(&obs, measurement, t, attempt, plan)
+                    })
+                    .unwrap_or_else(|payload| {
+                        Err(WindowFault::Panic {
+                            message: panic_message(payload.as_ref()),
+                        })
+                    });
+                    assert_eq!(fused, reference, "{measurement:?}, {plan:?}, N_V {n_v}");
+                }
+            }
+        }
     }
 }

@@ -178,23 +178,29 @@ fn worker_config(addr: &str, worker: u64, dir: &Path) -> WorkerConfig {
 /// Serve leases until the dispatcher says the capture is complete:
 /// the exact shard-capture engine `capture_shard` runs, over the
 /// ticket's window range (capped under the mid-capture chaos kill).
+///
+/// The observatory is built on the first grant, not before the first
+/// lease request: a non-lingering dispatcher exits once every shard is
+/// done, and a worker still building its network then would find no
+/// one to ask and fail at its retry deadline.
 fn serve_until_complete(
     gen: &PaluGenerator,
     cfg: &WorkerConfig,
     chaos: Option<WorkPhase>,
 ) -> Result<WorkerReport, ServiceFault> {
-    let mut obs = observatory(gen);
+    let mut obs = None;
     run_worker(
         cfg,
         &WireInjector::new(WireSpec::none(), SEED),
         chaos,
         |ticket, journal, limit| {
+            let obs = obs.get_or_insert_with(|| observatory(gen));
             obs.seek(ticket.lo);
             let n = usize::try_from(limit.unwrap_or(ticket.hi - ticket.lo))
                 .expect("window count fits usize");
             Pipeline::pool_observatory_durable(
                 Measurement::UndirectedDegree,
-                &mut obs,
+                obs,
                 n,
                 2,
                 None,
