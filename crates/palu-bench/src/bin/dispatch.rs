@@ -121,18 +121,20 @@ fn serve(addr: &str, worker: u64, dir: &Path, per_worker_threads: usize, chaos: 
         poll: Duration::from_millis(10),
     };
     let injector = WireInjector::new(WireSpec::none(), SEED + worker);
-    let mut obs = observatory();
+    // Built on the first grant, as `palu-cli work` does.
+    let mut obs = None;
     let report = run_worker(
         &cfg,
         &injector,
         chaos,
         |ticket, journal, limit| {
+            let obs = obs.get_or_insert_with(observatory);
             obs.seek(ticket.lo);
             let n = usize::try_from(limit.unwrap_or(ticket.hi - ticket.lo))
                 .expect("window count fits usize");
             Pipeline::pool_observatory_durable(
                 Measurement::UndirectedDegree,
-                &mut obs,
+                obs,
                 n,
                 per_worker_threads,
                 None,

@@ -835,29 +835,35 @@ impl SimCapture {
 
     /// Build the observatory (PALU network + packet synthesizer).
     fn observatory(&self) -> Result<palu_traffic::Observatory, CliError> {
+        Ok(self.observatory_of(&self.generator()?))
+    }
+
+    /// The validated PALU generator of the network (cheap: no network
+    /// is drawn yet).
+    fn generator(&self) -> Result<palu_graph::palu_gen::PaluGenerator, CliError> {
+        PaluParams::from_core_leaf_fractions(self.core, self.leaves, self.lambda, self.alpha, 0.5)
+            .map_err(|e| CliError::usage(e.to_string()))?
+            .generator(self.nodes)
+            .map_err(|e| CliError::usage(e.to_string()))
+    }
+
+    /// Draw `gen`'s network and build the observatory over it.
+    fn observatory_of(
+        &self,
+        gen: &palu_graph::palu_gen::PaluGenerator,
+    ) -> palu_traffic::Observatory {
         use palu_traffic::observatory::{Observatory, ObservatoryConfig};
         use palu_traffic::packets::EdgeIntensity;
-        let params = PaluParams::from_core_leaf_fractions(
-            self.core,
-            self.leaves,
-            self.lambda,
-            self.alpha,
-            0.5,
-        )
-        .map_err(|e| CliError::usage(e.to_string()))?;
-        let gen = params
-            .generator(self.nodes)
-            .map_err(|e| CliError::usage(e.to_string()))?;
-        Ok(Observatory::new(
+        Observatory::new(
             ObservatoryConfig {
                 name: "cli".into(),
                 date: String::new(),
                 n_v: self.n_v,
             },
-            &gen,
+            gen,
             EdgeIntensity::Uniform,
             self.seed,
-        ))
+        )
     }
 }
 
@@ -1793,12 +1799,19 @@ fn cmd_work(args: &ParsedArgs) -> Result<(), CliError> {
         }
     };
     let threads = sc.threads(args, sc.n_windows)?;
-    let mut obs = sc.observatory()?;
+    // The network is drawn on the first grant, not before the first
+    // lease request: a dispatcher without --linger exits once every
+    // shard is done, and a worker still drawing its network by then
+    // could not tell it finished from not up yet, and would fail at
+    // its retry deadline.
+    let gen = sc.generator()?;
+    let mut obs = None;
     let report = run_worker(
         &cfg,
         &injector,
         chaos,
         |ticket, journal, limit| {
+            let obs = obs.get_or_insert_with(|| sc.observatory_of(&gen));
             obs.seek(ticket.lo);
             let n = usize::try_from(limit.unwrap_or(ticket.hi - ticket.lo)).map_err(|_| {
                 FederationError::BadPlan {
@@ -1808,7 +1821,7 @@ fn cmd_work(args: &ParsedArgs) -> Result<(), CliError> {
             })?;
             Pipeline::pool_observatory_durable(
                 Measurement::UndirectedDegree,
-                &mut obs,
+                obs,
                 n,
                 threads,
                 None,

@@ -406,21 +406,11 @@ impl EdgeTable {
     }
 }
 
-/// Degrees below this are counted by value in [`Tally`]; larger ones
-/// are listed and sorted.
-const COUNTED_DEGREES: usize = 1 << 10;
-
 /// The counting half of [`DegreeScratch`]: one method per
 /// measurement, fed by every entry point.
 #[derive(Debug, Clone, Default)]
 struct Tally {
-    /// `by_degree[d]` counts this window's degrees `d <
-    /// COUNTED_DEGREES`; zero above `top` and between windows.
-    by_degree: Vec<u64>,
-    /// Largest degree counted in `by_degree` this window.
-    top: usize,
-    /// This window's larger degrees; sorted before histogram
-    /// construction.
+    /// Per-window degree list; sorted before histogram construction.
     degrees: Vec<u64>,
     /// Dense per-node accumulator (partner counts or packet volumes).
     counts: Vec<u64>,
@@ -430,46 +420,6 @@ struct Tally {
     touched: Vec<NodeId>,
     /// Length of the live prefix of `touched`.
     live: usize,
-}
-
-/// A [`Tally`]'s accumulator borrowed for a loop of bumps, with the live
-/// prefix's length in a local the loop keeps in a register. It is
-/// written back when the loop ends, or unwinds, so a panicked count's
-/// touched entries are still listed for the next `begin`.
-struct Bumps<'a> {
-    counts: &'a mut [u64],
-    touched: &'a mut Vec<NodeId>,
-    live: usize,
-    live_slot: &'a mut usize,
-}
-
-impl Bumps<'_> {
-    /// Add `v` to `counts[id]`. Every call stores `id` just past the
-    /// live prefix of `touched` and extends the prefix over it on a
-    /// first touch: a store and an add in place of a branch the data
-    /// cannot predict. A bump by 0 leaves the count at 0, so the id
-    /// can be listed again and outrun the write space; it is then
-    /// pushed. Out-of-range ids are ignored (callers size
-    /// `counts` to the address space, so this is unreachable in
-    /// practice — the guard replaces an indexing panic, not a
-    /// behaviour).
-    #[inline]
-    fn bump(&mut self, id: NodeId, v: u64) {
-        if let Some(c) = self.counts.get_mut(id as usize) {
-            match self.touched.get_mut(self.live) {
-                Some(slot) => *slot = id,
-                None => self.touched.push(id),
-            }
-            self.live += usize::from(*c == 0);
-            *c += v;
-        }
-    }
-}
-
-impl Drop for Bumps<'_> {
-    fn drop(&mut self) {
-        *self.live_slot = self.live;
-    }
 }
 
 /// Pack two node ids into one key that sorts by `upper`, then `lower`.
@@ -500,7 +450,7 @@ impl Tally {
     /// Start a window over `n_ids` node ids in which at most `bumps`
     /// counts are bumped: zero any accumulator residue, grow the dense
     /// accumulator and the touched list's write space, clear the
-    /// degree counts and list.
+    /// degree list.
     ///
     /// A normal count leaves no live prefix, so the reset is free; it
     /// matters when a previous count on this scratch panicked
@@ -518,71 +468,49 @@ impl Tally {
         // takes the store a repeat touch makes past the live prefix.
         grow(&mut self.touched, n_ids.min(bumps) + 1);
         grow(&mut self.counts, n_ids);
-        for n in self.by_degree.iter_mut().take(self.top + 1) {
-            *n = 0;
-        }
-        self.top = 0;
-        grow(&mut self.by_degree, COUNTED_DEGREES);
         self.degrees.clear();
     }
 
-    /// Add one degree `d` to the window's histogram.
-    fn record(&mut self, d: u64) {
-        match self.by_degree.get_mut(d as usize) {
-            Some(n) => {
-                *n += 1;
-                self.top = self.top.max(d as usize);
+    /// Add `v` to `counts[id]`. Every call stores `id` just past the
+    /// live prefix of `touched` and extends the prefix over it on a
+    /// first touch: a store and an add in place of a branch the data
+    /// cannot predict. A bump by 0 leaves the count at 0, so the id
+    /// can be listed again and outrun the write space; it is then
+    /// pushed. Out-of-range ids are ignored (callers size
+    /// `counts` to the address space, so this is unreachable in
+    /// practice — the guard replaces an indexing panic, not a
+    /// behaviour).
+    fn bump(&mut self, id: NodeId, v: u64) {
+        if let Some(c) = self.counts.get_mut(id as usize) {
+            match self.touched.get_mut(self.live) {
+                Some(slot) => *slot = id,
+                None => self.touched.push(id),
             }
-            None => self.degrees.push(d),
+            self.live += usize::from(*c == 0);
+            *c += v;
         }
     }
 
-    /// The accumulator, borrowed for a loop of bumps.
-    fn bumps(&mut self) -> Bumps<'_> {
-        Bumps {
-            counts: &mut self.counts,
-            touched: &mut self.touched,
-            live: self.live,
-            live_slot: &mut self.live,
-        }
-    }
-
-    /// Record the touched counts as degrees (dropping zeros), reset
+    /// Move the touched counts into `degrees` (dropping zeros), reset
     /// exactly the touched entries, and build the histogram.
     fn drain_touched(&mut self) -> DegreeHistogram {
-        for i in 0..self.live {
-            let id = self.touched.get(i).map_or(0, |&id| id as usize);
-            if let Some(c) = self.counts.get_mut(id) {
-                let d = std::mem::take(c);
-                if d > 0 {
-                    self.record(d);
+        for &id in self.touched.iter().take(self.live) {
+            if let Some(c) = self.counts.get_mut(id as usize) {
+                if *c > 0 {
+                    self.degrees.push(*c);
                 }
+                *c = 0;
             }
         }
         self.live = 0;
         self.finish()
     }
 
-    /// Build the histogram of the recorded degrees, and clear them:
-    /// the counted degrees in order, then the sorted larger ones
-    /// run-length encoded.
+    /// Sort the collected degrees and build the histogram via the
+    /// run-length fast path.
     fn finish(&mut self) -> DegreeHistogram {
         self.degrees.sort_unstable();
-        let top = std::mem::take(&mut self.top);
-        let counted = self
-            .by_degree
-            .iter_mut()
-            .take(top + 1)
-            .enumerate()
-            .filter_map(|(d, n)| {
-                let n = std::mem::take(n);
-                (n > 0).then_some((d as u64, n))
-            });
-        let listed = self
-            .degrees
-            .chunk_by(|a, b| a == b)
-            .filter_map(|run| Some((*run.first()?, run.len() as u64)));
-        DegreeHistogram::from_counts(counted.chain(listed))
+        DegreeHistogram::from_sorted_degrees(&self.degrees)
     }
 
     /// Distinct partners per node over at most `n_edges` deduplicated
@@ -596,14 +524,12 @@ impl Tally {
         n_ids: usize,
     ) -> DegreeHistogram {
         self.begin(n_ids, n_edges.saturating_mul(2));
-        let mut bumps = self.bumps();
         for (lo, hi) in edges {
-            bumps.bump(lo, 1);
+            self.bump(lo, 1);
             if hi != lo {
-                bumps.bump(hi, 1);
+                self.bump(hi, 1);
             }
         }
-        drop(bumps);
         self.drain_touched()
     }
 
@@ -618,12 +544,10 @@ impl Tally {
         n_ids: usize,
     ) -> DegreeHistogram {
         self.begin(n_ids, n_entries.saturating_mul(2));
-        let mut bumps = self.bumps();
         for (src, dst, v) in entries {
-            bumps.bump(src, v);
-            bumps.bump(dst, v);
+            self.bump(src, v);
+            self.bump(dst, v);
         }
-        drop(bumps);
         self.drain_touched()
     }
 
@@ -641,9 +565,7 @@ impl Tally {
     ) -> DegreeHistogram {
         if q == NetworkQuantity::LinkPackets {
             self.begin(0, 0);
-            for (_, _, v) in entries {
-                self.record(v);
-            }
+            self.degrees.extend(entries.map(|(_, _, v)| v));
             return self.finish();
         }
         let by_src = matches!(
@@ -655,11 +577,9 @@ impl Tally {
             NetworkQuantity::SourcePackets | NetworkQuantity::DestinationPackets
         );
         self.begin(n_ids, n_entries);
-        let mut bumps = self.bumps();
         for (src, dst, v) in entries {
-            bumps.bump(if by_src { src } else { dst }, if packets { v } else { 1 });
+            self.bump(if by_src { src } else { dst }, if packets { v } else { 1 });
         }
-        drop(bumps);
         self.drain_touched()
     }
 }

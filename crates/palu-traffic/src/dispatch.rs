@@ -957,7 +957,11 @@ fn work_done_round(
 ///
 /// `capture` receives the ticket, the journal, and an optional window
 /// cap (used by the [`WorkPhase::MidCapture`] chaos schedule to leave
-/// the exact partial-journal state of a mid-capture SIGKILL).
+/// the exact partial-journal state of a mid-capture SIGKILL). Build
+/// costly capture state (the network) in `capture`, on the first grant:
+/// a worker that has never reached the dispatcher cannot tell a
+/// dispatcher that finished the plan and exited from one not yet up, so
+/// its first lease request should come before any slow set-up.
 ///
 /// # Errors
 ///

@@ -151,111 +151,61 @@ fn conversation_store(edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
 /// conversation)`, and the number `E′` of distinct undirected edges.
 ///
 /// One stable bucket pass orders the conversations by their smaller
-/// endpoint `lo`, first one first. While node ids fit in
-/// [`WIDE_DIGIT`] bits, the pass's bucket array, one slot per id, then
-/// keeps for each larger endpoint `hi` the position of its first
-/// conversation in the current `lo` bucket, so a later one over the
-/// same `{lo, hi}` finds it in one load. Wider ids take
-/// [`NARROW_DIGIT`]-bit passes by `hi` first, so that the conversations
-/// over one edge end up adjacent. No comparison sort and no hash: `O(E)`
-/// work and at most `2^20` bucket slots.
+/// endpoint `lo`, first one first. Its bucket array, one slot per node
+/// id, then keeps for each larger endpoint `hi` the position of its
+/// first conversation in the current `lo` bucket, so a later one over
+/// the same `{lo, hi}` finds it in one load. No comparison sort and no
+/// hash: `O(E)` work, and `4 B` per node id of transient space, half of
+/// what each window worker's degree accumulator holds for good.
 fn repeats(edges: &[(u32, u32)]) -> (Vec<(usize, u32)>, usize) {
     let ends = |i: u32| {
         edges
             .get(i as usize)
             .map_or((0, 0), |&(u, v)| (u.min(v), u.max(v)))
     };
-    let top = edges.iter().fold(0, |top, &(u, v)| top.max(u).max(v));
-    let mut order = vec![0u32; edges.len()];
-    let mut counts = Vec::new();
-    let mut repeats = Vec::new();
-    if top >> WIDE_DIGIT == 0 {
-        let lo = |i: u32| ends(i).0 as usize;
-        scatter(0..edges.len() as u32, &mut order, &mut counts, top, lo);
-        // `counts[hi]` becomes one past the position of the current
-        // bucket's first conversation to `hi`, if past the bucket's start.
-        counts.fill(0);
-        let mut bucket = (0, None);
-        for (p, &i) in order.iter().enumerate() {
-            let (lo, hi) = ends(i);
-            if bucket.1 != Some(lo) {
-                bucket = (p, Some(lo));
-            }
-            if let Some(seen) = counts.get_mut(hi as usize) {
-                if *seen as usize > bucket.0 {
-                    let canonical = order.get(*seen as usize - 1).copied().unwrap_or(i);
-                    repeats.push((i as usize, canonical));
-                } else {
-                    *seen = p as u32 + 1;
-                }
-            }
-        }
-    } else {
-        let mut spare: Vec<u32> = (0..edges.len() as u32).collect();
-        let keys: [fn((u32, u32)) -> u32; 2] = [|(_, hi)| hi, |(lo, _)| lo];
-        for key in keys {
-            for shift in (0..32).step_by(NARROW_DIGIT as usize) {
-                let digit = |i: u32| (key(ends(i)) >> shift) as usize & 0xFFFF;
-                scatter(
-                    spare.iter().copied(),
-                    &mut order,
-                    &mut counts,
-                    0xFFFF,
-                    digit,
-                );
-                std::mem::swap(&mut order, &mut spare);
-            }
-        }
-        let mut current = None;
-        for &i in &spare {
-            let edge = ends(i);
-            match current {
-                Some((canonical, seen)) if seen == edge => repeats.push((i as usize, canonical)),
-                _ => current = Some((i, edge)),
-            }
-        }
-    }
-    let n_edges = edges.len() - repeats.len();
-    (repeats, n_edges)
-}
-
-/// Key width below which [`repeats`] orders the conversations in one
-/// counting pass, with one bucket per node id.
-const WIDE_DIGIT: u32 = 20;
-
-/// Digit width of [`repeats`]' passes over wider node ids.
-const NARROW_DIGIT: u32 = 16;
-
-/// One stable counting pass: place the conversation indices `source`
-/// in `out` in order of `digit`, which is at most `max`, with `counts`
-/// as bucket space. Leaves `counts[d]` at the end of bucket `d`.
-fn scatter(
-    source: impl Iterator<Item = u32> + Clone,
-    out: &mut [u32],
-    counts: &mut Vec<u32>,
-    max: u32,
-    digit: impl Fn(u32) -> usize,
-) {
-    counts.clear();
-    counts.resize(max as usize + 2, 0);
-    for i in source.clone() {
-        if let Some(c) = counts.get_mut(digit(i) + 1) {
+    let n_ids = edges.iter().fold(0, |n, &(u, v)| n.max(u).max(v)) as usize + 1;
+    // `first[d]` counts, then places, bucket `d - 1`'s conversations.
+    let mut first = vec![0u32; n_ids + 1];
+    for i in 0..edges.len() as u32 {
+        if let Some(c) = first.get_mut(ends(i).0 as usize + 1) {
             *c += 1;
         }
     }
     let mut sum = 0;
-    for c in counts.iter_mut() {
+    for c in first.iter_mut() {
         sum += *c;
         *c = sum;
     }
-    for i in source {
-        if let Some(c) = counts.get_mut(digit(i)) {
-            if let Some(slot) = out.get_mut(*c as usize) {
+    let mut order = vec![0u32; edges.len()];
+    for i in 0..edges.len() as u32 {
+        if let Some(c) = first.get_mut(ends(i).0 as usize) {
+            if let Some(slot) = order.get_mut(*c as usize) {
                 *slot = i;
             }
             *c += 1;
         }
     }
+    // `first[hi]` becomes one past the position of the current bucket's
+    // first conversation to `hi`, if past the bucket's start.
+    first.fill(0);
+    let mut bucket = (0, None);
+    let mut repeats = Vec::new();
+    for (p, &i) in order.iter().enumerate() {
+        let (lo, hi) = ends(i);
+        if bucket.1 != Some(lo) {
+            bucket = (p, Some(lo));
+        }
+        if let Some(seen) = first.get_mut(hi as usize) {
+            if *seen as usize > bucket.0 {
+                let canonical = order.get(*seen as usize - 1).copied().unwrap_or(i);
+                repeats.push((i as usize, canonical));
+            } else {
+                *seen = p as u32 + 1;
+            }
+        }
+    }
+    let n_edges = edges.len() - repeats.len();
+    (repeats, n_edges)
 }
 
 /// The conversation lookup, fixed by the [`EdgeIntensity`] at
@@ -295,10 +245,12 @@ impl PacketSynthesizer {
     /// # Panics
     ///
     /// Panics if `g` has no edges (no traffic to synthesize), has more
-    /// than `2^31` edges (directed pair ids, two per conversation, are
-    /// `u32`, as are the guide table's conversation indices, and the
-    /// uniform total `E` must be an exact `f64`), or the Pareto shape
-    /// is not positive.
+    /// than `2^30` conversations (a repeat stores its canonical
+    /// conversation's index in 30 bits, and the window kernel's
+    /// directed pair ids, two per conversation, share a `u32` with a
+    /// flag bit), has node ids of `2^31` or more (the conversation store
+    /// flags repeats in the top bit), or the Pareto shape is not
+    /// positive.
     pub fn new<R: Rng + ?Sized>(g: &Graph, intensity: EdgeIntensity, rng: &mut R) -> Self {
         assert!(
             g.n_edges() > 0,
@@ -1006,11 +958,11 @@ mod tests {
     }
 
     #[test]
-    fn repeats_stay_exact_with_node_ids_near_u32_max() {
-        // Keys past 2^20 take the 16-bit digit passes. Only the map is
-        // checked: the store and the counting accumulator need ids
-        // below 2^31.
-        let top = u32::MAX;
+    fn repeats_stay_exact_over_sparse_wide_node_ids() {
+        // A few thousand conversations over ids spread across 2^22: most
+        // buckets hold one conversation, and the bucket array is far
+        // larger than the conversation list.
+        let top = (1u32 << 22) - 1;
         let mut edges = vec![
             (top, top - 1),
             (top - 1, top),

@@ -179,10 +179,11 @@ fn worker_config(addr: &str, worker: u64, dir: &Path) -> WorkerConfig {
 /// the exact shard-capture engine `capture_shard` runs, over the
 /// ticket's window range (capped under the mid-capture chaos kill).
 ///
-/// The observatory is built on the first grant, not before the first
-/// lease request: a non-lingering dispatcher exits once every shard is
-/// done, and a worker still building its network then would find no
-/// one to ask and fail at its retry deadline.
+/// Like `palu-cli work`, the worker builds its observatory on the first
+/// grant, not before its first lease request: a non-lingering
+/// dispatcher exits once every shard is done, and a worker still
+/// building its network by then would find no one to ask and fail at
+/// its retry deadline.
 fn serve_until_complete(
     gen: &PaluGenerator,
     cfg: &WorkerConfig,
