@@ -45,9 +45,13 @@ cargo test -q --release --offline --manifest-path bench/Cargo.toml
 echo "== pipeline determinism (1, 2, 8 threads) =="
 # The sharded pipeline's hard contract, run explicitly so CI logs show
 # it even when the quiet test harness truncates: bit-identical pooled
-# results at 1, 2, and 8 threads on a 64-window workload.
+# results at 1, 2, and 8 threads on a 64-window workload; and, for the
+# node volume and source packets, whose busy nodes pass the count pass's
+# by-value cutoff, against a serial fold of the packet-level kernel.
 cargo test -q -p palu-suite --test parallel_pipeline \
     parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads
+cargo test -q -p palu-suite --test parallel_pipeline \
+    large_degree_measurements_are_bit_identical_to_serial_at_1_2_8_threads
 # Same contract end-to-end through the bench binary, which also emits
 # results/BENCH_pipeline.json with per-stage timings and packets/sec.
 # --gate additionally enforces the parallel-scaling floor: 8-thread

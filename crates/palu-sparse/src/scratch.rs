@@ -41,7 +41,8 @@
 //!   up first. A denser window lists nothing, and the count pass scans
 //!   the caller's edges in order instead. Either way each edge or pair
 //!   is read once, so the count costs `O(distinct edges)`, and no hash
-//!   table and no sort is involved. `begin_marks` clears whatever a
+//!   table is involved. Degrees below 1024 are counted by value, so
+//!   only the few larger ones are sorted. `begin_marks` clears whatever a
 //!   window that was marked and never counted (it panicked) left
 //!   behind.
 //!
@@ -309,6 +310,11 @@ impl Drop for Marker<'_> {
 /// dense per-node array is sized once to the largest node id seen,
 /// and only the entries a window actually touched are reset
 /// afterwards, so a sparse window never pays an `O(n_nodes)` clear.
+/// Each count is bumped through a view that keeps the touched list's
+/// length in a register. The resulting degrees are counted by value
+/// below a cutoff of 1024, and only the few above it are sorted, so
+/// the count state is the accumulator, the touched list and a fixed
+/// 8 KB array of by-value counts.
 #[derive(Debug, Clone, Default)]
 pub struct DegreeScratch {
     /// The keyed window: packed pairs, see [`EdgeKeys`].
@@ -406,11 +412,27 @@ impl EdgeTable {
     }
 }
 
+/// Degrees below this are counted by value, in [`Tally::small`]; only
+/// larger ones are listed and sorted.
+const SMALL: usize = 1024;
+
 /// The counting half of [`DegreeScratch`]: one method per
 /// measurement, fed by every entry point.
+///
+/// A window's counts are bumped through a [`Bumps`] view into the
+/// dense per-node accumulator `counts`, which lists each node in
+/// `touched` on its first bump. Draining then counts each node's
+/// degree by value: one below [`SMALL`] adds one to `small[degree]`,
+/// a larger one is listed in `degrees`. `finish` merges the two, so a
+/// window sorts only its few large degrees.
 #[derive(Debug, Clone, Default)]
 struct Tally {
-    /// Per-window degree list; sorted before histogram construction.
+    /// How many of the window's degrees equal each value below
+    /// [`SMALL`] (`SMALL` entries once a window has begun), zero
+    /// between windows.
+    small: Vec<u64>,
+    /// The window's degrees of [`SMALL`] and above; sorted before
+    /// histogram construction.
     degrees: Vec<u64>,
     /// Dense per-node accumulator (partner counts or packet volumes).
     counts: Vec<u64>,
@@ -420,6 +442,50 @@ struct Tally {
     touched: Vec<NodeId>,
     /// Length of the live prefix of `touched`.
     live: usize,
+    /// Whether a window was begun and not yet finished, so `small` may
+    /// hold its counts.
+    pending: bool,
+}
+
+/// One window's bumps into a [`Tally`], borrowed by [`Tally::begin`]:
+/// the dense accumulator and the touched list's write space as slices,
+/// with the list's length in a local the bump loop keeps in a register.
+/// It is written back when the view is dropped, or unwinds.
+struct Bumps<'a> {
+    counts: &'a mut [u64],
+    touched: &'a mut [NodeId],
+    live: usize,
+    live_slot: &'a mut usize,
+}
+
+impl Bumps<'_> {
+    /// Add `v` to `counts[id]`. Every bump stores `id` just past the
+    /// live prefix of `touched` and extends the prefix over it on a
+    /// first touch: a store and an add in place of a branch the data
+    /// cannot predict. A bump by 0 is skipped: a count of 0 is no
+    /// degree, and with it skipped each id is listed once, so the write
+    /// space [`Tally::begin`] sized always has room. Out-of-range ids are
+    /// ignored (callers size `counts` to the address space, so this is
+    /// unreachable in practice — the guard replaces an indexing panic,
+    /// not a behaviour).
+    #[inline]
+    fn bump(&mut self, id: NodeId, v: u64) {
+        if v == 0 {
+            return;
+        }
+        let c = self.counts.get_mut(id as usize);
+        if let (Some(c), Some(slot)) = (c, self.touched.get_mut(self.live)) {
+            *slot = id;
+            self.live += usize::from(*c == 0);
+            *c += v;
+        }
+    }
+}
+
+impl Drop for Bumps<'_> {
+    fn drop(&mut self) {
+        *self.live_slot = self.live;
+    }
 }
 
 /// Pack two node ids into one key that sorts by `upper`, then `lower`.
@@ -448,69 +514,77 @@ fn dims(a: &CsrMatrix) -> usize {
 
 impl Tally {
     /// Start a window over `n_ids` node ids in which at most `bumps`
-    /// counts are bumped: zero any accumulator residue, grow the dense
-    /// accumulator and the touched list's write space, clear the
-    /// degree list.
+    /// counts are bumped: zero any residue, grow the dense accumulator
+    /// and the touched list's write space, clear the degree list, and
+    /// lend out the bumps.
     ///
-    /// A normal count leaves no live prefix, so the reset is free; it
+    /// A finished window leaves no residue, so the reset is free; it
     /// matters when a previous count on this scratch panicked
-    /// mid-accumulation (the pipeline reuses arenas across
-    /// `catch_unwind` boundaries) and stale touched counts would
-    /// otherwise leak into the next window's histogram.
-    fn begin(&mut self, n_ids: usize, bumps: usize) {
+    /// mid-accumulation or mid-`finish` (the pipeline reuses arenas
+    /// across `catch_unwind` boundaries) and stale touched or by-value
+    /// counts would otherwise leak into the next window's histogram.
+    fn begin(&mut self, n_ids: usize, bumps: usize) -> Bumps<'_> {
         for &id in self.touched.iter().take(self.live) {
             if let Some(c) = self.counts.get_mut(id as usize) {
                 *c = 0;
             }
         }
         self.live = 0;
+        if self.pending {
+            self.small.fill(0);
+        }
+        self.pending = true;
+        grow(&mut self.small, SMALL);
         // A window touches at most min(ids, bumps) ids; the extra slot
         // takes the store a repeat touch makes past the live prefix.
         grow(&mut self.touched, n_ids.min(bumps) + 1);
         grow(&mut self.counts, n_ids);
         self.degrees.clear();
-    }
-
-    /// Add `v` to `counts[id]`. Every call stores `id` just past the
-    /// live prefix of `touched` and extends the prefix over it on a
-    /// first touch: a store and an add in place of a branch the data
-    /// cannot predict. A bump by 0 leaves the count at 0, so the id
-    /// can be listed again and outrun the write space; it is then
-    /// pushed. Out-of-range ids are ignored (callers size
-    /// `counts` to the address space, so this is unreachable in
-    /// practice — the guard replaces an indexing panic, not a
-    /// behaviour).
-    fn bump(&mut self, id: NodeId, v: u64) {
-        if let Some(c) = self.counts.get_mut(id as usize) {
-            match self.touched.get_mut(self.live) {
-                Some(slot) => *slot = id,
-                None => self.touched.push(id),
-            }
-            self.live += usize::from(*c == 0);
-            *c += v;
+        Bumps {
+            counts: &mut self.counts,
+            touched: &mut self.touched,
+            live: 0,
+            live_slot: &mut self.live,
         }
     }
 
-    /// Move the touched counts into `degrees` (dropping zeros), reset
-    /// exactly the touched entries, and build the histogram.
+    /// Count the touched nodes' degrees by value, reset exactly the
+    /// touched entries, and build the histogram. No count of 0 is
+    /// listed, as a bump by 0 is skipped, so none becomes a degree.
+    // lint:hot
     fn drain_touched(&mut self) -> DegreeHistogram {
-        for &id in self.touched.iter().take(self.live) {
-            if let Some(c) = self.counts.get_mut(id as usize) {
-                if *c > 0 {
-                    self.degrees.push(*c);
-                }
-                *c = 0;
+        let Self {
+            small,
+            degrees,
+            counts,
+            touched,
+            ..
+        } = self;
+        for &id in touched.iter().take(self.live) {
+            if let Some(c) = counts.get_mut(id as usize) {
+                count_degree(small, degrees, std::mem::take(c));
             }
         }
         self.live = 0;
         self.finish()
     }
 
-    /// Sort the collected degrees and build the histogram via the
-    /// run-length fast path.
+    /// Build the histogram of the large degrees, sorted, via the
+    /// run-length fast path, and add the by-value counts to it,
+    /// zeroing `small` as it is read.
+    // lint:hot
     fn finish(&mut self) -> DegreeHistogram {
         self.degrees.sort_unstable();
-        DegreeHistogram::from_sorted_degrees(&self.degrees)
+        let mut h = DegreeHistogram::from_sorted_degrees(&self.degrees);
+        for (n, d) in self.small.iter_mut().zip(0u64..) {
+            // Most values are no node's degree: skip the call for them.
+            let n = std::mem::take(n);
+            if n > 0 {
+                h.increment(d, n);
+            }
+        }
+        self.pending = false;
+        h
     }
 
     /// Distinct partners per node over at most `n_edges` deduplicated
@@ -523,13 +597,14 @@ impl Tally {
         n_edges: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
-        self.begin(n_ids, n_edges.saturating_mul(2));
+        let mut b = self.begin(n_ids, n_edges.saturating_mul(2));
         for (lo, hi) in edges {
-            self.bump(lo, 1);
+            b.bump(lo, 1);
             if hi != lo {
-                self.bump(hi, 1);
+                b.bump(hi, 1);
             }
         }
+        drop(b);
         self.drain_touched()
     }
 
@@ -543,18 +618,20 @@ impl Tally {
         n_entries: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
-        self.begin(n_ids, n_entries.saturating_mul(2));
+        let mut b = self.begin(n_ids, n_entries.saturating_mul(2));
         for (src, dst, v) in entries {
-            self.bump(src, v);
-            self.bump(dst, v);
+            b.bump(src, v);
+            b.bump(dst, v);
         }
+        drop(b);
         self.drain_touched()
     }
 
     /// One Figure 1 quantity over at most `n_entries` distinct
     /// `(src, dst, count)` entries, in any order. Link packets are the
-    /// counts themselves; the other four add a count (packets) or 1
-    /// (fan-out, fan-in) per entry at its source or destination.
+    /// counts themselves, a count of 0 included; the other four add a
+    /// count (packets) or 1 (fan-out, fan-in) per entry at its source
+    /// or destination.
     // lint:hot
     fn quantity(
         &mut self,
@@ -564,8 +641,10 @@ impl Tally {
         n_ids: usize,
     ) -> DegreeHistogram {
         if q == NetworkQuantity::LinkPackets {
-            self.begin(0, 0);
-            self.degrees.extend(entries.map(|(_, _, v)| v));
+            drop(self.begin(0, 0));
+            for (_, _, v) in entries {
+                count_degree(&mut self.small, &mut self.degrees, v);
+            }
             return self.finish();
         }
         let by_src = matches!(
@@ -576,11 +655,22 @@ impl Tally {
             q,
             NetworkQuantity::SourcePackets | NetworkQuantity::DestinationPackets
         );
-        self.begin(n_ids, n_entries);
+        let mut b = self.begin(n_ids, n_entries);
         for (src, dst, v) in entries {
-            self.bump(if by_src { src } else { dst }, if packets { v } else { 1 });
+            b.bump(if by_src { src } else { dst }, if packets { v } else { 1 });
         }
+        drop(b);
         self.drain_touched()
+    }
+}
+
+/// Count degree `d` in a [`Tally`]: by value below [`SMALL`], else in
+/// the list of large degrees.
+#[inline]
+fn count_degree(small: &mut [u64], degrees: &mut Vec<u64>, d: u64) {
+    match usize::try_from(d).ok().and_then(|i| small.get_mut(i)) {
+        Some(n) => *n += 1,
+        None => degrees.push(d),
     }
 }
 
@@ -1040,6 +1130,140 @@ mod tests {
         assert!(counted.is_err());
         assert!(s.tally.live > 0);
         assert_eq!(kernel_histograms(&mut s, &pairs), expected);
+        // A window with degrees on both sides of the by-value cutoff,
+        // after a count that panicked with nodes bumped on both sides
+        // of it, and after a `finish` that panicked.
+        let stars = cutoff_stars();
+        let expected = csr_histograms(&stars);
+        let bumped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let entries = (0..10u32).map(|i| {
+                assert!(i < 8, "injected panic while counting");
+                (i % 4, 4 + i % 4, [1, 1023, 1024, 1025][(i % 4) as usize])
+            });
+            s.tally.volume(entries, 10, 8)
+        }));
+        assert!(bumped.is_err());
+        assert!(s.tally.live > 0);
+        assert_eq!(kernel_histograms(&mut s, &stars), expected);
+        strand_a_finish(&mut s);
+        assert_eq!(kernel_histograms(&mut s, &stars), expected);
+    }
+
+    /// Leave `s` as a `finish` that panicked would: a begun window's
+    /// by-value counts and large degrees, never read.
+    fn strand_a_finish(s: &mut DegreeScratch) {
+        let t = &mut s.tally;
+        drop(t.begin(0, 0));
+        for d in [1, 7, 1023, 1024, 5_000] {
+            count_degree(&mut t.small, &mut t.degrees, d);
+        }
+        assert!(t.pending);
+    }
+
+    /// Undirected degrees on both sides of the by-value cutoff: stars
+    /// of 1023, 1024 and 1025 leaves, and a lone edge.
+    fn cutoff_stars() -> Vec<(u32, u32)> {
+        let mut pairs = vec![(3, 4)];
+        for (center, leaves, first) in [(0u32, 1023u32, 10u32), (1, 1024, 2_000), (2, 1025, 4_000)]
+        {
+            pairs.extend((first..first + leaves).map(|leaf| (center, leaf)));
+        }
+        pairs
+    }
+
+    #[test]
+    fn degrees_on_both_sides_of_the_cutoff_match_the_reference() {
+        use NetworkQuantity::{DestinationPackets, LinkPackets, SourcePackets};
+        let mut s = DegreeScratch::new();
+        // Undirected degrees 1, 1023, 1024 and 1025, through all three
+        // entry points.
+        let stars = cutoff_stars();
+        let leaves = 2 + 1023 + 1024 + 1025;
+        let want = DegreeHistogram::from_degrees(
+            [1023, 1024, 1025]
+                .into_iter()
+                .chain(std::iter::repeat_n(1, leaves)),
+        );
+        s.key_pairs(EdgeKeys::Undirected, stars.iter().copied());
+        assert_eq!(s.undirected_degree_of_keys(), want);
+        let a = CooMatrix::from_packet_pairs(stars.iter().copied()).to_csr();
+        assert_eq!(s.undirected_degree_histogram(&a), want);
+        let net = Net::new(&stars);
+        let once: Vec<(usize, bool)> = (0..stars.len()).map(|j| (j, j % 2 == 0)).collect();
+        net.mark(&mut s, Marking::Edges, &once);
+        assert_eq!(s.undirected_degree_of_marks(&net), want);
+
+        // Volumes 1, 1023, 1024, 1025 and one above `u32::MAX`, one
+        // link each: a node's volume is its link's packets, and so is
+        // its source or destination packets.
+        let big = u64::from(u32::MAX) + 3;
+        let counts = [1, 1023, 1024, 1025, big];
+        let links: Vec<(u32, u32)> = (0..counts.len() as u32)
+            .map(|i| (2 * i, 2 * i + 1))
+            .collect();
+        let volumes = DegreeHistogram::from_degrees(counts.iter().flat_map(|&c| [c, c]));
+        let links_of = |counts: &[u64]| DegreeHistogram::from_degrees(counts.iter().copied());
+        let mut m = CooMatrix::new();
+        for (&(src, dst), &c) in links.iter().zip(&counts) {
+            m.push(src, dst, c);
+        }
+        let a = m.to_csr();
+        assert_eq!(s.node_volume_histogram(&a), volumes);
+        for q in [SourcePackets, LinkPackets, DestinationPackets] {
+            assert_eq!(
+                s.quantity_histogram(q, &a),
+                links_of(&counts),
+                "{}",
+                q.name()
+            );
+        }
+        // Each link's packets marked at once, in a dense window and in
+        // a sparse one (unmarked edges outnumber the marks).
+        for spare in [0, 8] {
+            let mut conversations = links.clone();
+            conversations.extend((0..spare).map(|i| (100 + i, 101 + i)));
+            let net = Net::new(&conversations);
+            let mark = |s: &mut DegreeScratch| {
+                let mut marker = s.begin_marks(Marking::Pairs, &net, links.len());
+                for (i, (&(src, dst), &c)) in links.iter().zip(&counts).enumerate() {
+                    marker.mark_pair(i as u32, false, src, dst, c, true);
+                }
+            };
+            mark(&mut s);
+            assert_eq!(s.node_volume_of_marks(&net), volumes, "{spare}");
+            for q in [SourcePackets, LinkPackets, DestinationPackets] {
+                mark(&mut s);
+                let h = s.quantity_of_marks(q, &net);
+                assert_eq!(h, links_of(&counts), "{} {spare}", q.name());
+            }
+        }
+        // The packet-level kernel takes packets, so only the volumes
+        // below `u32::MAX`.
+        let small = counts.get(..4).unwrap_or_default();
+        let packets: Vec<(u32, u32)> = links
+            .iter()
+            .zip(small)
+            .flat_map(|(&link, &c)| std::iter::repeat_n(link, c as usize))
+            .collect();
+        s.key_pairs(EdgeKeys::Packets, packets.iter().copied());
+        let doubled = DegreeHistogram::from_degrees(small.iter().flat_map(|&c| [c, c]));
+        assert_eq!(s.node_volume_of_keys(), doubled);
+        for q in [SourcePackets, LinkPackets, DestinationPackets] {
+            s.key_pairs(EdgeKeys::Directed, packets.iter().copied());
+            assert_eq!(s.quantity_of_keys(q), links_of(small), "{}", q.name());
+        }
+
+        // The zero rules, on the count code every entry point feeds: a
+        // volume of 0 is no degree, a link of 0 packets is one. (A CSR
+        // cannot store a zero and a mark adds `n > 0` packets, so no
+        // entry point passes a zero today.)
+        let zero = [(0u32, 1u32, 0u64), (2, 3, 1024)];
+        let h = s.tally.volume(zero.into_iter(), 2, 4);
+        assert_eq!(h, DegreeHistogram::from_degrees([1024, 1024]));
+        let h = s.tally.quantity(LinkPackets, zero.into_iter(), 2, 4);
+        assert_eq!(h, DegreeHistogram::from_degrees([0, 1024]));
+        let h = s.tally.quantity(SourcePackets, zero.into_iter(), 2, 4);
+        assert_eq!(h, DegreeHistogram::from_degrees([1024]));
     }
 
     /// A test network for the fused kernel: conversations `edges`, each
@@ -1265,6 +1489,35 @@ mod tests {
             }
         }
         assert!(count_panics >= 6, "{count_panics} counts panicked");
+        // A window with degrees on both sides of the by-value cutoff:
+        // a count that panics part-way through the scan of its 3 073
+        // edges, with nodes bumped on both sides of it, or in `finish`,
+        // leaves nothing behind.
+        let stars = cutoff_stars();
+        let net = Net::new(&stars);
+        let mut next: Vec<(usize, bool)> = (0..stars.len()).map(|j| (j, j % 2 == 0)).collect();
+        next.extend(std::iter::repeat_n((0, false), 1025));
+        let expected = net.reference(&next);
+        for marking in [Marking::Edges, Marking::Pairs] {
+            for trap in [1, 1_500, 3_000] {
+                net.trap.set(Some(trap));
+                let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    net.mark(&mut s, marking, &next);
+                    match marking {
+                        Marking::Edges => s.undirected_degree_of_marks(&net),
+                        Marking::Pairs => s.node_volume_of_marks(&net),
+                    }
+                }));
+                net.trap.set(None);
+                assert!(counted.is_err(), "{marking:?}, {trap}");
+                assert!(s.tally.live > 0);
+                let got = net.histograms(&mut s, &next);
+                assert_eq!(got, expected, "count {marking:?}, {trap}");
+            }
+            strand_a_finish(&mut s);
+            let got = net.histograms(&mut s, &next);
+            assert_eq!(got, expected, "finish {marking:?}");
+        }
     }
 
     /// The window's distinct undirected keys in first-seen order.

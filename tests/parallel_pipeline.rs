@@ -125,6 +125,57 @@ fn engine_equals_the_csr_reference_for_every_measurement() {
     }
 }
 
+/// Node volumes and source packets pass the window kernel's by-value
+/// cutoff of 1024 on busy nodes, so their histograms merge by-value
+/// counts with a sorted list of large degrees. Each window's
+/// packet-level histogram must equal one computed from the window
+/// matrix's row and column sums, and the engine must pool them bit for
+/// bit as a serial fold of the packet-level kernel does.
+#[test]
+fn large_degree_measurements_are_bit_identical_to_serial_at_1_2_8_threads() {
+    const WINDOWS: u64 = 16;
+    const N_V: u64 = 20_000;
+    for m in [
+        Measurement::NodeVolume,
+        Measurement::Quantity(NetworkQuantity::SourcePackets),
+    ] {
+        let serial = {
+            let obs = observatory(7, N_V);
+            let mut scratch = palu_sparse::scratch::DegreeScratch::new();
+            let mut p = Pipeline::new(m);
+            for t in 0..WINDOWS {
+                let packets = obs.packets_at(t).expect("clean window");
+                let h = m.histogram_of_packets(&packets, &mut scratch);
+                assert_eq!(h, sums_histogram(m, &obs.window_at(t)), "{m:?}, window {t}");
+                p.push_binned(&DifferentialCumulative::from_histogram(&h), h.d_max());
+            }
+            p.finish()
+        };
+        assert!(serial.d_max > 1024, "{m:?}: d_max {}", serial.d_max);
+        for threads in [1usize, 2, 8] {
+            let mut obs = observatory(7, N_V);
+            let parallel = pool_measurement(m, &mut obs, WINDOWS as usize, threads, None);
+            assert_bitwise_equal(&parallel, &serial, &format!("{m:?} at {threads} threads"));
+        }
+    }
+}
+
+/// Node volume (row plus column sums) or a Figure 1 quantity of `w`,
+/// computed from the matrix alone.
+fn sums_histogram(m: Measurement, w: &PacketWindow) -> DegreeHistogram {
+    let a = w.matrix();
+    match m {
+        Measurement::Quantity(q) => q.histogram(a),
+        _ => {
+            let (sent, received) = (a.row_sums(), a.col_sums());
+            let n = sent.len().max(received.len());
+            let at = |v: &[u64], i: usize| v.get(i).copied().unwrap_or(0);
+            let volumes = (0..n).map(|i| at(&sent, i) + at(&received, i));
+            DegreeHistogram::from_degrees(volumes.filter(|&v| v > 0))
+        }
+    }
+}
+
 #[test]
 fn metrics_snapshot_counts_the_parallel_workload() {
     let metrics = Metrics::new();
