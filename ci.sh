@@ -493,4 +493,26 @@ grep -q "admission refused" "$bud_dir/refused.log" || {
 }
 echo "impossible budget: refused at admission with a typed fault (exit 3)"
 
+echo "== local fit smoke (generate → observe → degrees → fit --boot) =="
+# The single-process fit path: a small network through the whole chain,
+# then two bootstrap fits of its histogram. The bootstrap is seeded, so
+# the two reports must be byte-identical, and each must carry the
+# 90% CI line.
+fit_dir="$smoke_dir/fit"
+mkdir -p "$fit_dir"
+"$palu_bin" generate --nodes 20000 --core 0.6 --leaves 0.1 --lambda 4.0 --alpha 2.6 \
+    --seed 5 --out "$fit_dir/edges.txt" 2>/dev/null
+"$palu_bin" observe --in "$fit_dir/edges.txt" --p 0.5 --seed 5 \
+    --out "$fit_dir/observed.txt" 2>/dev/null
+"$palu_bin" degrees --in "$fit_dir/observed.txt" --out "$fit_dir/hist.txt" 2>/dev/null
+"$palu_bin" fit --in "$fit_dir/hist.txt" --boot 20 --out "$fit_dir/fit1.txt" 2>/dev/null
+"$palu_bin" fit --in "$fit_dir/hist.txt" --boot 20 --out "$fit_dir/fit2.txt" 2>/dev/null
+cmp "$fit_dir/fit1.txt" "$fit_dir/fit2.txt"
+grep -q "90% CI: alpha in" "$fit_dir/fit1.txt" || {
+    echo "ci: a bootstrapped fit must report its 90% CI:" >&2
+    cat "$fit_dir/fit1.txt" >&2
+    exit 1
+}
+echo "local fit: bootstrap report byte-identical across runs, 90% CI present"
+
 echo "ci: all green"

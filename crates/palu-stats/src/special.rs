@@ -186,6 +186,13 @@ pub fn zeta_tail(s: f64, n: u64) -> Result<f64> {
     hurwitz_zeta(s, n as f64)
 }
 
+/// Largest `n` for which [`harmonic_partial`] and [`zm_normalizer`]
+/// always sum their `n` terms directly, smallest first; above it they
+/// take the zeta difference whenever `s > 1`. Callers that already hold
+/// the terms (the Zipf–Mandelbrot fit) reproduce the direct sum bit for
+/// bit by summing them in the same order up to this bound.
+pub const DIRECT_SUM_CUTOFF: u64 = 4096;
+
 /// Partial generalized harmonic number `H(n, s) = Σ_{d=1}^n d^{-s}`.
 ///
 /// For small `n` this is a direct sum; for large `n` it is computed as
@@ -193,11 +200,10 @@ pub fn zeta_tail(s: f64, n: u64) -> Result<f64> {
 /// fast path is taken; for `s ≤ 1` the direct sum is always used (it is
 /// finite for any finite `n`).
 pub fn harmonic_partial(n: u64, s: f64) -> f64 {
-    const DIRECT_CUTOFF: u64 = 4096;
     if n == 0 {
         return 0.0;
     }
-    if n <= DIRECT_CUTOFF || s <= 1.0 {
+    if n <= DIRECT_SUM_CUTOFF || s <= 1.0 {
         // Sum smallest-to-largest terms for accuracy: d^{-s} decreases in
         // d when s > 0, so iterate downward.
         let mut acc = 0.0f64;
@@ -226,11 +232,10 @@ pub fn harmonic_partial(n: u64, s: f64) -> f64 {
 /// `n = d_max`. Accepts any `s > 0` (the sum is finite), using the
 /// zeta-difference fast path only when `s > 1`.
 pub fn zm_normalizer(n: u64, s: f64, q: f64) -> f64 {
-    const DIRECT_CUTOFF: u64 = 4096;
     if n == 0 {
         return 0.0;
     }
-    if n <= DIRECT_CUTOFF || s <= 1.0 {
+    if n <= DIRECT_SUM_CUTOFF || s <= 1.0 {
         let mut acc = 0.0f64;
         let mut d = n;
         while d >= 1 {

@@ -16,7 +16,8 @@
 use palu_stats::error::StatsError;
 use palu_stats::logbin::DifferentialCumulative;
 use palu_stats::rng::Rng;
-use palu_stats::special::zm_normalizer;
+use palu_stats::special::{zm_normalizer, DIRECT_SUM_CUTOFF};
+use std::collections::BTreeMap;
 
 /// A fully specified modified Zipf–Mandelbrot distribution over
 /// `{1, …, d_max}`.
@@ -54,6 +55,17 @@ impl ZipfMandelbrot {
     ///
     /// [`StatsError::Domain`] on violated ranges.
     pub fn new(alpha: f64, delta: f64, d_max: u64) -> Result<Self, StatsError> {
+        Self::validate(alpha, delta, d_max)?;
+        Ok(ZipfMandelbrot {
+            alpha,
+            delta,
+            d_max,
+            normalizer: zm_normalizer(d_max, alpha, delta),
+        })
+    }
+
+    /// The parameter checks of [`ZipfMandelbrot::new`].
+    fn validate(alpha: f64, delta: f64, d_max: u64) -> Result<(), StatsError> {
         if !alpha.is_finite() || alpha <= 0.0 {
             return Err(StatsError::domain(
                 "ZipfMandelbrot::new",
@@ -72,12 +84,7 @@ impl ZipfMandelbrot {
                 "d_max must be >= 1",
             ));
         }
-        Ok(ZipfMandelbrot {
-            alpha,
-            delta,
-            d_max,
-            normalizer: zm_normalizer(d_max, alpha, delta),
-        })
+        Ok(())
     }
 
     /// Model exponent `α`.
@@ -129,15 +136,44 @@ impl ZipfMandelbrot {
         DifferentialCumulative::from_pmf(|d| self.pmf(d), self.d_max)
     }
 
-    /// Draw one sample by inverse-CDF bisection over the support
-    /// (`O(log d_max)` normalizer evaluations).
+    /// Draw one sample by inverse-CDF bisection over the support.
+    ///
+    /// Each of the `O(log d_max)` bisection steps evaluates the partial
+    /// normalizer at its midpoint, a direct sum of `mid` terms up to
+    /// [`DIRECT_SUM_CUTOFF`], so one draw costs `O(d_max)` `powf` calls
+    /// there. [`sample_many`](Self::sample_many) draws the same values
+    /// without repeating those sums.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        self.bisect(rng, |mid| zm_normalizer(mid, self.alpha, self.delta))
+    }
+
+    /// Draw `n` samples: exactly the values `n` calls of
+    /// [`sample`](Self::sample) draw from the same generator.
+    ///
+    /// A bisection step's partial normalizer is a fixed function of its
+    /// midpoint, so each one is computed once per call and looked up by
+    /// every later draw that passes through it.
+    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<u64> {
+        let mut partial = BTreeMap::new();
+        (0..n)
+            .map(|_| {
+                self.bisect(rng, |mid| {
+                    *partial
+                        .entry(mid)
+                        .or_insert_with(|| zm_normalizer(mid, self.alpha, self.delta))
+                })
+            })
+            .collect()
+    }
+
+    /// Smallest `d` with `partial(d) >= u · normalizer`, `u` one uniform
+    /// draw, where `partial(d)` is `zm_normalizer(d, α, δ)`.
+    fn bisect<R: Rng + ?Sized>(&self, rng: &mut R, mut partial: impl FnMut(u64) -> f64) -> u64 {
         let target = rng.gen::<f64>() * self.normalizer;
-        // Find smallest d with partial_normalizer(d) >= target.
         let (mut lo, mut hi) = (1u64, self.d_max);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if zm_normalizer(mid, self.alpha, self.delta) >= target {
+            if partial(mid) >= target {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -145,10 +181,62 @@ impl ZipfMandelbrot {
         }
         lo
     }
+}
 
-    /// Draw `n` samples.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<u64> {
-        (0..n).map(|_| self.sample(rng)).collect()
+/// Pooled forms of many Zipf–Mandelbrot models over one support, with
+/// one `powf` per term.
+///
+/// `ZipfMandelbrot::new(α, δ, d_max)?.pooled()` evaluates every `ρ(d)`
+/// twice: in the normalizer's direct sum and again in the pmf. A fit
+/// pools thousands of `(α, δ)` at one `d_max`, so it holds one of these
+/// for the whole fit. Up to [`DIRECT_SUM_CUTOFF`] terms (32 KB) go into
+/// a reused buffer, are summed smallest first as [`zm_normalizer`]
+/// sums them, and are pooled from the same buffer by
+/// [`DifferentialCumulative::from_pmf`], the loop `pooled` uses. Above
+/// the cutoff the normalizer is `zm_normalizer`'s own (the Hurwitz-zeta
+/// difference for `α > 1`) and each term is pooled as it is evaluated.
+/// The `powf` calls, their arguments and every summation order are
+/// those of the two-pass route, so the result is bit-identical to it.
+#[derive(Debug, Default)]
+pub(crate) struct PooledModels {
+    terms: Vec<f64>,
+}
+
+impl PooledModels {
+    /// `ZipfMandelbrot::new(alpha, delta, d_max)?.pooled()`, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// [`StatsError::Domain`] exactly where [`ZipfMandelbrot::new`]
+    /// refuses.
+    // lint:hot
+    pub(crate) fn pooled(
+        &mut self,
+        alpha: f64,
+        delta: f64,
+        d_max: u64,
+    ) -> Result<DifferentialCumulative, StatsError> {
+        ZipfMandelbrot::validate(alpha, delta, d_max)?;
+        let rho = |d: u64| (d as f64 + delta).powf(-alpha);
+        if d_max > DIRECT_SUM_CUTOFF {
+            let normalizer = zm_normalizer(d_max, alpha, delta);
+            return Ok(DifferentialCumulative::from_pmf(
+                |d| rho(d) / normalizer,
+                d_max,
+            ));
+        }
+        self.terms.clear();
+        self.terms.extend((1..=d_max).map(rho));
+        let mut normalizer = 0.0f64;
+        for &term in self.terms.iter().rev() {
+            normalizer += term;
+        }
+        // `terms[d - 1]` is ρ(d): `d_max` terms, `d` in `1..=d_max`.
+        let terms = &self.terms;
+        Ok(DifferentialCumulative::from_pmf(
+            |d| terms[(d - 1) as usize] / normalizer,
+            d_max,
+        ))
     }
 }
 
@@ -245,6 +333,49 @@ mod tests {
         let pooled = zm.pooled();
         assert!((pooled.total_mass() - 1.0).abs() < 1e-10);
         assert!((pooled.value(0) - zm.pmf(1)).abs() < 1e-12);
+    }
+
+    /// Grid for the exactness checks, invalid points included.
+    const ALPHAS: [f64; 8] = [-1.0, 0.0, 0.5, 1.0, 1.05, 2.2, 6.0, f64::NAN];
+    const DELTAS: [f64; 7] = [-1.5, -1.0, -0.95, 0.0, 0.5, 20.0, f64::INFINITY];
+    const D_MAXES: [u64; 6] = [0, 1, 256, 1024, 4096, 8192];
+
+    #[test]
+    fn pooled_models_match_the_two_pass_route_bit_for_bit() {
+        let mut models = PooledModels::default();
+        for &d_max in &D_MAXES {
+            for &alpha in &ALPHAS {
+                for &delta in &DELTAS {
+                    let fused = models.pooled(alpha, delta, d_max);
+                    let reference = ZipfMandelbrot::new(alpha, delta, d_max).map(|m| m.pooled());
+                    match (fused, reference) {
+                        (Ok(f), Ok(r)) => {
+                            let bits = |p: &DifferentialCumulative| -> Vec<u64> {
+                                p.values().iter().map(|v| v.to_bits()).collect()
+                            };
+                            assert_eq!(bits(&f), bits(&r), "α={alpha} δ={delta} d_max={d_max}");
+                        }
+                        (Err(_), Err(_)) => {}
+                        (f, r) => panic!("α={alpha} δ={delta} d_max={d_max}: {f:?} vs {r:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_many_draws_what_sample_draws() {
+        // 8192 is past the direct-sum cutoff: the zeta-difference path.
+        for &d_max in &[256u64, 4096, 8192] {
+            let zm = ZipfMandelbrot::new(2.0, 0.5, d_max).unwrap();
+            let mut a = Xoshiro256pp::seed_from_u64(d_max);
+            let mut b = Xoshiro256pp::seed_from_u64(d_max);
+            let many = zm.sample_many(&mut a, 2_000);
+            let one_by_one: Vec<u64> = (0..2_000).map(|_| zm.sample(&mut b)).collect();
+            assert_eq!(many, one_by_one, "d_max={d_max}");
+            // Both generators end in the same state.
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+        }
     }
 
     #[test]

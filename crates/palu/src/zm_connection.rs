@@ -72,8 +72,13 @@ impl PaluCurve {
 
     /// Unnormalized `PALU(d) = d^{−α} + r^{1−d}·((1+δ)^{−α} − 1)`.
     pub fn value(&self, d: u64) -> f64 {
+        self.term(d, self.amplitude())
+    }
+
+    /// [`value`](Self::value) with its amplitude already evaluated.
+    fn term(&self, d: u64, amplitude: f64) -> f64 {
         debug_assert!(d >= 1);
-        (d as f64).powf(-self.alpha) + self.r.powf(1.0 - d as f64) * self.amplitude()
+        (d as f64).powf(-self.alpha) + self.r.powf(1.0 - d as f64) * amplitude
     }
 
     /// Normalized pmf over `1..=d_max`.
@@ -89,9 +94,16 @@ impl PaluCurve {
     }
 
     /// Pooled differential cumulative form, for Figure 4 comparisons.
+    ///
+    /// Each `PALU(d)` is evaluated once, with the amplitude evaluated
+    /// once for all of them: the normalizer is the forward sum of those
+    /// terms, as in [`pmf`](Self::pmf), and they are pooled from the
+    /// same buffer.
     pub fn pooled(&self) -> DifferentialCumulative {
-        let z = self.normalizer();
-        DifferentialCumulative::from_pmf(|d| self.value(d) / z, self.d_max)
+        let amplitude = self.amplitude();
+        let terms: Vec<f64> = (1..=self.d_max).map(|d| self.term(d, amplitude)).collect();
+        let z: f64 = terms.iter().sum();
+        DifferentialCumulative::from_pmf(|d| terms[(d - 1) as usize] / z, self.d_max)
     }
 
     /// Pooled L2 distance to a target Zipf–Mandelbrot model.
@@ -212,6 +224,28 @@ mod tests {
         assert!((c.pooled().total_mass() - 1.0).abs() < 1e-10);
         assert_eq!(c.pmf(0), 0.0);
         assert_eq!(c.pmf(5000), 0.0);
+    }
+
+    #[test]
+    fn pooled_matches_the_two_pass_route_bit_for_bit() {
+        for &(alpha, delta, r, d_max) in &[
+            (2.0, -0.5, 1.8, 1u64),
+            (2.0, -0.5, 13.0, 4096),
+            (2.5, 0.7, 1.0001, 1000),
+            (3.0, -0.9, 1e6, 8192),
+        ] {
+            let c = PaluCurve::new(alpha, delta, r, d_max).unwrap();
+            let z = c.normalizer();
+            let reference = DifferentialCumulative::from_pmf(|d| c.value(d) / z, d_max);
+            let bits = |p: &DifferentialCumulative| -> Vec<u64> {
+                p.values().iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(
+                bits(&c.pooled()),
+                bits(&reference),
+                "α={alpha} δ={delta} r={r}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! Ablation objectives (weighted, log-space, pooled-KS) quantify how
 //! much the objective choice matters (design-choice #3 in DESIGN.md).
 
-use crate::zm::ZipfMandelbrot;
+use crate::zm::{PooledModels, ZipfMandelbrot};
 use palu_stats::error::StatsError;
 use palu_stats::logbin::DifferentialCumulative;
 use palu_stats::optimize::{grid_search_2d, nelder_mead, NelderMeadOptions};
@@ -95,18 +95,16 @@ impl ZmFitter {
         }
     }
 
+    /// The objective at one pooled model; an invalid model scores `∞`.
     fn evaluate(
         &self,
         observed: &DifferentialCumulative,
         weights: Option<&[f64]>,
-        d_max: u64,
-        alpha: f64,
-        delta: f64,
+        model: Result<DifferentialCumulative, StatsError>,
     ) -> f64 {
-        let Ok(model) = ZipfMandelbrot::new(alpha, delta, d_max) else {
+        let Ok(pooled) = model else {
             return f64::INFINITY;
         };
-        let pooled = model.pooled();
         match self.objective {
             FitObjective::LeastSquares => observed.l2_distance_sq(&pooled),
             FitObjective::WeightedLeastSquares => match weights {
@@ -147,6 +145,24 @@ impl ZmFitter {
         observed: &DifferentialCumulative,
         weights: Option<&[f64]>,
     ) -> Result<ZmFit, StatsError> {
+        // One term buffer for every evaluation of this fit.
+        let mut models = PooledModels::default();
+        self.fit_with(observed, weights, |alpha, delta, d_max| {
+            models.pooled(alpha, delta, d_max)
+        })
+    }
+
+    /// [`fit`](Self::fit) with the pooled model at `(α, δ, d_max)`
+    /// supplied by `model`.
+    fn fit_with<M>(
+        &self,
+        observed: &DifferentialCumulative,
+        weights: Option<&[f64]>,
+        mut model: M,
+    ) -> Result<ZmFit, StatsError>
+    where
+        M: FnMut(f64, f64, u64) -> Result<DifferentialCumulative, StatsError>,
+    {
         let Some(last_bin) = observed.last_nonzero_bin() else {
             return Err(StatsError::EmptyInput {
                 routine: "ZmFitter::fit",
@@ -162,7 +178,7 @@ impl ZmFitter {
 
         // Global stage: coarse grid.
         let (a0, d0, _) = grid_search_2d(
-            |a, d| self.evaluate(observed, weights, d_max, a, d),
+            |a, d| self.evaluate(observed, weights, model(a, d, d_max)),
             self.alpha_range,
             self.delta_range,
             self.grid,
@@ -178,7 +194,7 @@ impl ZmFitter {
                 if a < alo || a > ahi || d < dlo || d > dhi {
                     return f64::INFINITY;
                 }
-                self.evaluate(observed, weights, d_max, a, d)
+                self.evaluate(observed, weights, model(a, d, d_max))
             },
             &[a0, d0],
             &self.nm_options,
@@ -414,6 +430,125 @@ mod tests {
         assert!(fitter.fit_bootstrap(&h, 5, 0.9, &mut rng).is_err());
         assert!(fitter.fit_bootstrap(&h, 20, 0.3, &mut rng).is_err());
         assert!(fitter.fit_bootstrap(&h, 20, 1.0, &mut rng).is_err());
+    }
+
+    /// The fit on the two-pass route every evaluation took before the
+    /// term buffer: `ZipfMandelbrot::new(α, δ, d_max)?.pooled()`.
+    fn reference_fit(
+        fitter: &ZmFitter,
+        observed: &DifferentialCumulative,
+        weights: Option<&[f64]>,
+    ) -> Result<ZmFit, StatsError> {
+        fitter.fit_with(observed, weights, |alpha, delta, d_max| {
+            ZipfMandelbrot::new(alpha, delta, d_max).map(|m| m.pooled())
+        })
+    }
+
+    fn fit_bits(fit: &ZmFit) -> (u64, u64, u64, u64, usize) {
+        (
+            fit.alpha.to_bits(),
+            fit.delta.to_bits(),
+            fit.objective.to_bits(),
+            fit.d_max,
+            fit.evals,
+        )
+    }
+
+    const OBJECTIVES: [FitObjective; 4] = [
+        FitObjective::LeastSquares,
+        FitObjective::WeightedLeastSquares,
+        FitObjective::LogSpace,
+        FitObjective::PooledKs,
+    ];
+
+    #[test]
+    fn fused_objective_matches_the_two_pass_route_bit_for_bit() {
+        let truth = ZipfMandelbrot::new(2.2, 1.0, 1 << 10).unwrap();
+        let mut rng = Xoshiro256pp::seed_from_u64(11);
+        let h: DegreeHistogram = truth.sample_many(&mut rng, 5_000).into_iter().collect();
+        let observed = DifferentialCumulative::from_histogram(&h);
+        let w: Vec<f64> = (0..observed.n_bins()).map(|i| 1.0 + i as f64).collect();
+        let mut models = PooledModels::default();
+        for obj in OBJECTIVES {
+            let fitter = ZmFitter::with_objective(obj);
+            for weights in [None, Some(w.as_slice())] {
+                for &d_max in &[1u64, 256, 1024, 4096, 8192] {
+                    for &alpha in &[-1.0, 0.0, 0.5, 1.0, 1.05, 2.2, 6.0] {
+                        for &delta in &[-1.5, -1.0, -0.95, 0.0, 0.5, 20.0] {
+                            let fused = fitter.evaluate(
+                                &observed,
+                                weights,
+                                models.pooled(alpha, delta, d_max),
+                            );
+                            let reference = fitter.evaluate(
+                                &observed,
+                                weights,
+                                ZipfMandelbrot::new(alpha, delta, d_max).map(|m| m.pooled()),
+                            );
+                            assert_eq!(
+                                fused.to_bits(),
+                                reference.to_bits(),
+                                "{obj:?} weighted={} α={alpha} δ={delta} d_max={d_max}",
+                                weights.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_two_pass_route_bit_for_bit() {
+        let clean = ZipfMandelbrot::new(2.0, 0.5, 1 << 10).unwrap().pooled();
+        let mut rng = Xoshiro256pp::seed_from_u64(12);
+        let h: DegreeHistogram = ZipfMandelbrot::new(2.2, 1.0, 1 << 10)
+            .unwrap()
+            .sample_many(&mut rng, 20_000)
+            .into_iter()
+            .collect();
+        let sampled = DifferentialCumulative::from_histogram(&h);
+        // Past the direct-sum cutoff: the zeta-difference normalizer.
+        let wide = ZipfMandelbrot::new(1.8, 2.0, 1 << 13).unwrap().pooled();
+        for observed in [&clean, &sampled, &wide] {
+            let w: Vec<f64> = (0..observed.n_bins())
+                .map(|i| 1.0 / (1.0 + i as f64))
+                .collect();
+            for obj in OBJECTIVES {
+                let fitter = ZmFitter::with_objective(obj);
+                let weights = (obj == FitObjective::WeightedLeastSquares).then_some(w.as_slice());
+                let fused = fitter.fit(observed, weights).unwrap();
+                let reference = reference_fit(&fitter, observed, weights).unwrap();
+                assert_eq!(fit_bits(&fused), fit_bits(&reference), "{obj:?}");
+            }
+        }
+        assert_eq!(ZmFitter::default().fit(&wide, None).unwrap().d_max, 1 << 13);
+    }
+
+    #[test]
+    fn bootstrap_replicates_match_the_two_pass_route() {
+        let truth = ZipfMandelbrot::new(2.2, 0.5, 1 << 10).unwrap();
+        let mut rng = Xoshiro256pp::seed_from_u64(13);
+        let h: DegreeHistogram = truth.sample_many(&mut rng, 20_000).into_iter().collect();
+        let fitter = ZmFitter::default();
+        let boot = fitter
+            .fit_bootstrap(&h, 10, 0.9, &mut Xoshiro256pp::seed_from_u64(14))
+            .unwrap();
+
+        // The same replicates, drawn and refitted on the reference route.
+        let observed = DifferentialCumulative::from_histogram(&h);
+        let point = reference_fit(&fitter, &observed, None).unwrap();
+        assert_eq!(fit_bits(&boot.point), fit_bits(&point));
+        let mut rng = Xoshiro256pp::seed_from_u64(14);
+        let mut replicates: Vec<ZmFit> = (0..10)
+            .filter_map(|_| {
+                let pooled = DifferentialCumulative::from_histogram(&h.resample(&mut rng));
+                reference_fit(&fitter, &pooled, None).ok()
+            })
+            .collect();
+        replicates.sort_by(|a, b| a.alpha.total_cmp(&b.alpha));
+        let bits = |fits: &[ZmFit]| fits.iter().map(fit_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&boot.replicates), bits(&replicates));
     }
 
     #[test]
