@@ -45,11 +45,16 @@ cargo test -q --release --offline --manifest-path bench/Cargo.toml
 echo "== pipeline determinism (1, 2, 8 threads) =="
 # The sharded pipeline's hard contract, run explicitly so CI logs show
 # it even when the quiet test harness truncates: bit-identical pooled
-# results at 1, 2, and 8 threads on a 64-window workload; and, for the
-# node volume and source packets, whose busy nodes pass the count pass's
-# by-value cutoff, against a serial fold of the packet-level kernel.
+# results at 1, 2, and 8 threads on a 64-window workload; for dense
+# windows (N_V ≥ E′, whose mark pass reads repeat bits, not the
+# conversation store), against the serial fold of CSR windows; and, for
+# the node volume and source packets, whose busy nodes pass the count
+# pass's by-value cutoff, against a serial fold of the packet-level
+# kernel.
 cargo test -q -p palu-suite --test parallel_pipeline \
     parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads
+cargo test -q -p palu-suite --test parallel_pipeline \
+    dense_windows_are_bit_identical_to_serial_at_1_2_8_threads
 cargo test -q -p palu-suite --test parallel_pipeline \
     large_degree_measurements_are_bit_identical_to_serial_at_1_2_8_threads
 # Same contract end-to-end through the bench binary, which also emits
@@ -61,13 +66,26 @@ cargo test -q -p palu-suite --test parallel_pipeline \
 cargo run -q --release -p palu-bench --bin pipeline -- --gate
 test -s results/BENCH_pipeline.json
 
-echo "== experiment gates (directed, model_selection) =="
+echo "== experiment gates (directed, model_selection, fig4) =="
 # Each bin asserts its paper-shape gate and exits non-zero when it
-# fails: in/out-degree ZM α within 0.05 on every scenario (E-EXT3) and
-# PALU winning the botnet-heavy scenario on AIC (E-EXT2). Both are
-# deterministic, so the JSON snapshots they rewrite stay byte-identical.
+# fails: in/out-degree ZM α within 0.05 on every scenario (E-EXT3),
+# PALU winning the botnet-heavy scenario on AIC (E-EXT2), and the
+# best-r Equation 5 curve within its pooled distance of ZM (E-F4). All
+# three are deterministic, so the JSON snapshots they rewrite must stay
+# byte-identical to the committed ones.
 cargo run -q --release -p palu-bench --bin directed
 cargo run -q --release -p palu-bench --bin model_selection
+cargo run -q --release -p palu-bench --bin fig4 >/dev/null
+snapshots=(results/directed.json results/model_selection.json results/fig4.json)
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    git diff --exit-code -- "${snapshots[@]}" || {
+        echo "ci: a deterministic snapshot no longer matches the committed one" >&2
+        exit 1
+    }
+    echo "snapshots: ${snapshots[*]} byte-identical to the committed ones"
+else
+    echo "ci: not a git checkout, snapshots not compared to committed ones" >&2
+fi
 
 echo "== fault-injection smoke matrix (0%, 5%, 50%) =="
 # The quarantine policy must complete at every injection rate, with a

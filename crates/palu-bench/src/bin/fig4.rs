@@ -72,7 +72,8 @@ fn main() {
         }
         println!(
             "best-fit member: r = {:.3}, pooled L2 distance {:.5}",
-            best.r, best_distance
+            best.r(),
+            best_distance
         );
         println!();
 
@@ -95,7 +96,7 @@ fn main() {
             delta,
             zm_pooled: zm_pooled.iter().collect(),
             curves,
-            best_r: best.r,
+            best_r: best.r(),
             best_distance,
         });
     }

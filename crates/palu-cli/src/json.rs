@@ -265,6 +265,29 @@ mod tests {
         assert_eq!(JsonValue::from(f64::INFINITY).pretty(), "null\n");
     }
 
+    /// The committed `results/` snapshots depend on this exact format:
+    /// plain decimal however small (never an exponent), a decimal point
+    /// on integral values below 10^15 and none from there up, `null`
+    /// for non-finite values.
+    #[test]
+    fn number_format_is_pinned() {
+        for (x, s) in [
+            (9.972931183915058e-6, "0.000009972931183915058"),
+            (-2.5e-3, "-0.0025"),
+            (0.5, "0.5"),
+            (123456789.0, "123456789.0"),
+            (-0.0, "-0.0"),
+            (999999999999999.0, "999999999999999.0"),
+            (1e15, "1000000000000000"),
+            (1.5e17, "150000000000000000"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(JsonValue::from(x).pretty(), format!("{s}\n"), "{x:e}");
+        }
+    }
+
     #[test]
     fn floats_round_trip() {
         for &x in &[0.1, 1e-300, 123456.789, 2.2250738585072014e-308] {

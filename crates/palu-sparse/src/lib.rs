@@ -43,7 +43,8 @@ pub use csr::CsrMatrix;
 pub use error::SparseError;
 pub use quantities::{NetworkQuantity, QuantityHistograms};
 pub use scratch::{
-    Conversations, CsrScratch, DegreeScratch, EdgeKeys, Marker, Marking, MAX_CONVERSATIONS,
+    Conversations, CsrScratch, DegreeScratch, EdgeBits, EdgeKeys, Marker, Marking,
+    MAX_CONVERSATIONS,
 };
 
 /// Largest capacity *hint* honoured verbatim before admission-control

@@ -206,13 +206,43 @@ struct Marks {
 pub struct Marker<'a> {
     bits: &'a mut [u64],
     pairs: &'a mut [Count],
+    /// Whether this is a dense [`Marking::Edges`] window.
+    dense_edge_window: bool,
     /// The list's write space: empty for a dense window.
     marked: &'a mut [Mark],
     live: usize,
     live_slot: &'a mut usize,
 }
 
+/// The edge bit set of a dense [`Marking::Edges`] window, lent by
+/// [`Marker::dense_edges`]. The window lists nothing, so a mark is its
+/// edge's id alone: the count pass scans every edge with its endpoints.
+pub struct EdgeBits<'a> {
+    bits: &'a mut [u64],
+}
+
+impl EdgeBits<'_> {
+    /// Mark the edge whose canonical conversation is `id`. Ids out of
+    /// range are ignored.
+    // lint:hot
+    #[inline]
+    pub fn mark(&mut self, id: u32) {
+        if let Some(word) = self.bits.get_mut((id / 64) as usize) {
+            *word |= 1u64 << (id % 64);
+        }
+    }
+}
+
 impl Marker<'_> {
+    /// The bit set of a dense [`Marking::Edges`] window, which lists
+    /// nothing and so needs no endpoints; `None` for a sparse window
+    /// (mark it through [`Marker::mark_edge`]) or a
+    /// [`Marking::Pairs`] one.
+    pub fn dense_edges(&mut self) -> Option<EdgeBits<'_>> {
+        let bits = &mut *self.bits;
+        self.dense_edge_window.then_some(EdgeBits { bits })
+    }
+
     /// Mark the edge whose canonical conversation is `id`, in a
     /// [`Marking::Edges`] window. `a` and `b` are its endpoints, in
     /// either order, when `known`; otherwise the count pass looks them
@@ -703,6 +733,7 @@ impl Marks {
         Marker {
             bits: &mut self.bits,
             pairs: &mut self.pairs,
+            dense_edge_window: marking == Marking::Edges && !sparse,
             marked: self.marked.get_mut(..space).unwrap_or_default(),
             live: 0,
             live_slot: &mut self.live,
@@ -876,7 +907,8 @@ impl DegreeScratch {
     /// behind. The window is sparse when `n_marks < net.n_edges()`: it
     /// lists each edge or pair as it is first marked, and its count pass
     /// walks the list. A dense window lists nothing, and its count pass
-    /// scans every edge.
+    /// scans every edge; a dense [`Marking::Edges`] window lends its bit
+    /// set through [`Marker::dense_edges`].
     pub fn begin_marks(
         &mut self,
         marking: Marking,
@@ -1300,9 +1332,16 @@ mod tests {
 
         /// Mark `packets`, `(conversation, forward)`, as the synthesizer
         /// does: a repeat by its edge's first conversation, with its
-        /// endpoints left to the count pass.
+        /// endpoints left to the count pass, and a dense window's edges
+        /// by id alone.
         fn mark(&self, s: &mut DegreeScratch, marking: Marking, packets: &[(usize, bool)]) {
             let mut marker = s.begin_marks(marking, self, packets.len());
+            if let Some(mut bits) = marker.dense_edges() {
+                for &(j, _) in packets {
+                    bits.mark(self.first[j]);
+                }
+                return;
+            }
             for &(j, forward) in packets {
                 let (u, v) = self.edges[j];
                 let (src, dst) = if forward { (u, v) } else { (v, u) };
@@ -1441,6 +1480,22 @@ mod tests {
             s.quantity_of_marks(NetworkQuantity::LinkPackets, &net),
             reference.quantity_of_keys(NetworkQuantity::LinkPackets)
         );
+    }
+
+    #[test]
+    fn only_a_dense_edge_window_lends_its_bit_set() {
+        let net = Net::new(&MULTIGRAPH);
+        let mut s = DegreeScratch::new();
+        for (marking, n, dense) in [
+            (Marking::Edges, 5, false),
+            (Marking::Edges, 6, true),
+            (Marking::Edges, 200, true),
+            (Marking::Pairs, 200, false),
+            (Marking::Pairs, 5, false),
+        ] {
+            let mut marker = s.begin_marks(marking, &net, n);
+            assert_eq!(marker.dense_edges().is_some(), dense, "{marking:?}, {n}");
+        }
     }
 
     #[test]

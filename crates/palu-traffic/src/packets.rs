@@ -11,7 +11,12 @@
 //!
 //! **Cost per draw.** A packet costs two RNG outputs, one resolution
 //! of the uniform `x ∈ [0, total]` to a conversation index, and one
-//! gather from the conversation array. Every resolution returns
+//! gather from the conversation array, 8 B a conversation. A dense
+//! undirected-degree window (`N_V ≥ E′`) replaces the gather with a
+//! read of the conversation's repeat bit, `E / 8` bytes in all (28 KB
+//! on the benchmark's shared spec, against its 1.8 MB store), and only
+//! a repeat, 13 % of the conversations there, loads its word. Every
+//! resolution returns
 //! exactly `cumulative.partition_point(|&c| c < x).min(E − 1)` over
 //! the cumulative intensity table, so the packets are the same byte
 //! for byte as a binary search's.
@@ -46,7 +51,10 @@
 //! conversation over it, a *repeat*, with that name in place of its
 //! second endpoint (`conversation_store`). Conversations over the
 //! same `{min(u, v), max(u, v)}`, and only those, share a name, so the
-//! marked set is exactly the window's edge set.
+//! marked set is exactly the window's edge set. A canonical
+//! conversation names itself, so a dense window, which lists no
+//! endpoints, finds each packet's edge from its repeat bit and loads
+//! the word of a repeat only.
 
 use crate::fault::WindowFault;
 use palu_graph::graph::Graph;
@@ -93,6 +101,10 @@ pub struct PacketSynthesizer {
     /// The conversations (one per underlying edge), as
     /// [`conversation_store`] words.
     conversations: Vec<(u32, u32)>,
+    /// Bit `i` is set exactly when conversation `i`'s word carries
+    /// [`REPEAT`]: `E / 8` bytes that a dense window's mark pass reads
+    /// in place of the store.
+    repeat_bits: Vec<u64>,
     /// Distinct undirected edges `E′` among the conversations.
     n_edges: usize,
     /// Largest endpoint among the conversations, plus one.
@@ -117,8 +129,9 @@ const BELOW: u32 = 1 << 30;
 /// Mask of a repeat's second half: its canonical conversation.
 const CANONICAL: u32 = BELOW - 1;
 
-/// The conversation store of `edges`, one word per conversation, and
-/// the number `E′` of distinct undirected edges.
+/// The conversation store of `edges`, one word per conversation, its
+/// repeat bits (bit `i` set when conversation `i` is a repeat), and the
+/// number `E′` of distinct undirected edges.
 ///
 /// The underlying graph is a multigraph: 225 141 conversations make
 /// 195 777 edges on the benchmark's shared network. The first
@@ -130,10 +143,14 @@ const CANONICAL: u32 = BELOW - 1;
 /// endpoint), and how `u` compares with `v`. So a packet finds its
 /// edge with no load beyond its conversation's word; node ids must lie
 /// below `2^31`.
-fn conversation_store(edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
+fn conversation_store(edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, Vec<u64>, usize) {
     let (repeats, n_edges) = repeats(edges);
     let mut store = edges.to_vec();
+    let mut repeat_bits = vec![0u64; edges.len().div_ceil(64)];
     for (i, r) in repeats {
+        if let Some(bits) = repeat_bits.get_mut(i / 64) {
+            *bits |= 1 << (i % 64);
+        }
         if let Some(word) = store.get_mut(i) {
             let (u, v) = *word;
             let order = match u.cmp(&v) {
@@ -144,7 +161,7 @@ fn conversation_store(edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
             *word = (u | REPEAT, r | order);
         }
     }
-    (store, n_edges)
+    (store, repeat_bits, n_edges)
 }
 
 /// Every repeat among the conversations `edges`, as `(index, canonical
@@ -291,7 +308,7 @@ impl PacketSynthesizer {
         total: f64,
         intensity: EdgeIntensity,
     ) -> Self {
-        let (conversations, n_edges) = conversation_store(edges);
+        let (conversations, repeat_bits, n_edges) = conversation_store(edges);
         let n_ids = edges
             .iter()
             .map(|&(u, v)| u.max(v) as usize + 1)
@@ -299,6 +316,7 @@ impl PacketSynthesizer {
             .unwrap_or(0);
         PacketSynthesizer {
             conversations,
+            repeat_bits,
             n_edges,
             n_ids,
             lookup,
@@ -473,6 +491,11 @@ impl PacketSynthesizer {
     /// (`DegreeScratch::*_of_marks` over this synthesizer's
     /// [`Conversations`]) then reads it.
     ///
+    /// A dense [`Marking::Edges`] window lists nothing, so it marks each
+    /// packet's edge by [`PacketSynthesizer::dense_edge_of`], from the
+    /// conversation's repeat bit; every other window gathers the
+    /// conversation's store word.
+    ///
     /// # Errors
     ///
     /// Propagates [`PacketSynthesizer::draw`]'s fault.
@@ -484,6 +507,12 @@ impl PacketSynthesizer {
         scratch: &mut DegreeScratch,
     ) -> Result<(), WindowFault> {
         let mut marker = scratch.begin_marks(marking, self, n);
+        if let Some(mut bits) = marker.dense_edges() {
+            return self.for_each_index(rng, n, |i, _| {
+                bits.mark(self.dense_edge_of(i));
+                Ok(())
+            });
+        }
         match marking {
             Marking::Edges => self.for_each_draw(rng, n, |i, (u, w), _| {
                 let (id, known) = edge_of(i, (u, w));
@@ -525,17 +554,37 @@ impl PacketSynthesizer {
         Ok(())
     }
 
-    /// Draw `n` conversations and directions, in blocks, calling
-    /// `visit(i, word, forward)` on each conversation `i` drawn, with
-    /// its store word, in draw order. Consumes the RNG exactly as `n`
-    /// calls of [`PacketSynthesizer::draw`] do: an `f64` then a `bool`
-    /// per packet.
+    /// [`PacketSynthesizer::for_each_index`], gathering each drawn
+    /// conversation's store word: calls `visit(i, word, forward)` on
+    /// each conversation `i` drawn, in draw order.
     // lint:hot
     fn for_each_draw<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         n: usize,
         mut visit: impl FnMut(u32, (u32, u32), bool),
+    ) -> Result<(), WindowFault> {
+        self.for_each_index(rng, n, |i, forward| {
+            let &word = self
+                .conversations
+                .get(i)
+                .ok_or(WindowFault::EmptySynthesizer)?;
+            visit(i as u32, word, forward);
+            Ok(())
+        })
+    }
+
+    /// Draw `n` conversations and directions, in blocks, calling
+    /// `visit(i, forward)` on each conversation `i` drawn, in draw
+    /// order, and stopping at its first fault. Consumes the RNG exactly
+    /// as `n` calls of [`PacketSynthesizer::draw`] do: an `f64` then a
+    /// `bool` per packet.
+    // lint:hot
+    fn for_each_index<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        n: usize,
+        mut visit: impl FnMut(usize, bool) -> Result<(), WindowFault>,
     ) -> Result<(), WindowFault> {
         if n == 0 {
             return Ok(());
@@ -556,14 +605,32 @@ impl PacketSynthesizer {
             }
             self.resolve(&xs, &mut idx, len);
             for (&i, &f) in idx.iter().zip(forward.iter()).take(len) {
-                let &word = self
-                    .conversations
-                    .get(i)
-                    .ok_or(WindowFault::EmptySynthesizer)?;
-                visit(i as u32, word, f);
+                visit(i, f)?;
             }
         }
         Ok(())
+    }
+
+    /// The edge conversation `i` runs over, named as [`edge_of`] names
+    /// it, read from `i`'s repeat bit: a canonical conversation is its
+    /// own edge, and only a repeat loads its store word, for its
+    /// canonical conversation. The branch mispredicts on some repeats,
+    /// but it skips the load for every canonical conversation: on a
+    /// shared 2-vCPU host it beat a branch-free masked load (which reads
+    /// word 0 for a canonical one) both on the `wide` spec and at
+    /// `N_V = 10⁸` (EXPERIMENTS.md E-PERF).
+    // lint:hot
+    fn dense_edge_of(&self, i: usize) -> u32 {
+        let repeat = self
+            .repeat_bits
+            .get(i / 64)
+            .is_some_and(|&bits| bits >> (i % 64) & 1 == 1);
+        if repeat {
+            let (_, w) = self.conversations.get(i).copied().unwrap_or_default();
+            w & CANONICAL
+        } else {
+            i as u32
+        }
     }
 
     /// The effective edge-retention probability `p` a window of `n_v`
@@ -996,6 +1063,7 @@ mod tests {
         assert_eq!(syn.n_edges(), 6);
         assert_eq!(syn.n_ids(), 8);
         for (i, (&word, &(u, v))) in syn.conversations.iter().zip(&MULTIGRAPH).enumerate() {
+            assert_eq!(syn.dense_edge_of(i), first[i], "conversation {i}");
             let i = i as u32;
             assert_eq!(syn.endpoints(word), (u, v), "conversation {i}");
             for forward in [true, false] {
@@ -1021,6 +1089,36 @@ mod tests {
         for (i, lo, hi) in edges {
             assert_eq!(syn.ends(i), (lo, hi));
         }
+    }
+
+    /// `syn`'s repeat bit of conversation `i`.
+    fn repeat_bit(syn: &PacketSynthesizer, i: usize) -> bool {
+        syn.repeat_bits[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    #[test]
+    fn repeat_bits_flag_exactly_the_repeats_across_word_edges() {
+        // 130 conversations, not a multiple of 64: every one its own
+        // edge but three repeats, at either side of the first word edge
+        // and at the end, in the last (partial) word.
+        let mut edges: Vec<(u32, u32)> = (0..130).map(|i| (i, i + 200)).collect();
+        edges[63] = (200, 0);
+        edges[64] = (1, 201);
+        edges[129] = (2, 202);
+        let mut g = Graph::with_nodes(400);
+        for &(u, v) in &edges {
+            g.add_edge(u, v);
+        }
+        let mut rng = Xoshiro256pp::seed_from_u64(19);
+        let syn = PacketSynthesizer::new(&g, EdgeIntensity::Uniform, &mut rng);
+        assert_eq!(syn.repeat_bits.len(), 3);
+        let repeats: Vec<usize> = (0..130).filter(|&i| repeat_bit(&syn, i)).collect();
+        assert_eq!(repeats, [63, 64, 129]);
+        for (i, &(u, _)) in syn.conversations.iter().enumerate() {
+            assert_eq!(repeat_bit(&syn, i), u & REPEAT != 0, "conversation {i}");
+        }
+        // Past the last conversation, the last word holds no bit.
+        assert_eq!(syn.repeat_bits[2] >> 2, 0);
     }
 
     #[test]

@@ -21,14 +21,12 @@ use palu_stats::optimize::golden_section;
 /// One member of the Equation 5 curve family.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaluCurve {
-    /// Power-law exponent `α`.
-    pub alpha: f64,
-    /// Zipf–Mandelbrot offset `δ` the amplitude is aligned to.
-    pub delta: f64,
-    /// Geometric decay base `r > 1`.
-    pub r: f64,
-    /// Support bound for normalized comparisons.
-    pub d_max: u64,
+    alpha: f64,
+    delta: f64,
+    r: f64,
+    d_max: u64,
+    /// `Σ_{d=1}^{d_max} PALU(d)`, summed once at construction.
+    normalizer: f64,
 }
 
 impl PaluCurve {
@@ -54,12 +52,36 @@ impl PaluCurve {
         if d_max == 0 {
             return Err(StatsError::domain("PaluCurve::new", "d_max must be >= 1"));
         }
-        Ok(PaluCurve {
+        let mut curve = PaluCurve {
             alpha,
             delta,
             r,
             d_max,
-        })
+            normalizer: 0.0,
+        };
+        let amplitude = curve.amplitude();
+        curve.normalizer = (1..=d_max).map(|d| curve.term(d, amplitude)).sum();
+        Ok(curve)
+    }
+
+    /// Power-law exponent `α`.
+    pub fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// Zipf–Mandelbrot offset `δ` the amplitude is aligned to.
+    pub fn delta(&self) -> f64 {
+        self.delta
+    }
+
+    /// Geometric decay base `r > 1`.
+    pub fn r(&self) -> f64 {
+        self.r
+    }
+
+    /// Support bound for normalized comparisons.
+    pub fn d_max(&self) -> u64 {
+        self.d_max
     }
 
     /// The Equation 5 amplitude `u/c = (1 + δ)^{−α} − 1`.
@@ -81,29 +103,24 @@ impl PaluCurve {
         (d as f64).powf(-self.alpha) + self.r.powf(1.0 - d as f64) * amplitude
     }
 
-    /// Normalized pmf over `1..=d_max`.
+    /// Normalized pmf over `1..=d_max`: `O(1)`, over the normalizer
+    /// the curve summed at construction.
     pub fn pmf(&self, d: u64) -> f64 {
         if d == 0 || d > self.d_max {
             return 0.0;
         }
-        self.value(d) / self.normalizer()
-    }
-
-    fn normalizer(&self) -> f64 {
-        (1..=self.d_max).map(|d| self.value(d)).sum()
+        self.value(d) / self.normalizer
     }
 
     /// Pooled differential cumulative form, for Figure 4 comparisons.
     ///
     /// Each `PALU(d)` is evaluated once, with the amplitude evaluated
-    /// once for all of them: the normalizer is the forward sum of those
-    /// terms, as in [`pmf`](Self::pmf), and they are pooled from the
-    /// same buffer.
+    /// once for all of them, and divided by the normalizer, as in
+    /// [`pmf`](Self::pmf).
     pub fn pooled(&self) -> DifferentialCumulative {
         let amplitude = self.amplitude();
-        let terms: Vec<f64> = (1..=self.d_max).map(|d| self.term(d, amplitude)).collect();
-        let z: f64 = terms.iter().sum();
-        DifferentialCumulative::from_pmf(|d| terms[(d - 1) as usize] / z, self.d_max)
+        let z = self.normalizer;
+        DifferentialCumulative::from_pmf(|d| self.term(d, amplitude) / z, self.d_max)
     }
 
     /// Pooled L2 distance to a target Zipf–Mandelbrot model.
@@ -235,7 +252,12 @@ mod tests {
             (3.0, -0.9, 1e6, 8192),
         ] {
             let c = PaluCurve::new(alpha, delta, r, d_max).unwrap();
-            let z = c.normalizer();
+            // The reference normalizer: every `value(d)`, amplitude
+            // included, summed forward.
+            let z: f64 = (1..=d_max).map(|d| c.value(d)).sum();
+            for d in 1..=d_max {
+                assert_eq!(c.pmf(d).to_bits(), (c.value(d) / z).to_bits(), "d={d}");
+            }
             let reference = DifferentialCumulative::from_pmf(|d| c.value(d) / z, d_max);
             let bits = |p: &DifferentialCumulative| -> Vec<u64> {
                 p.values().iter().map(|v| v.to_bits()).collect()
@@ -261,7 +283,7 @@ mod tests {
             assert!(
                 dist < 0.02,
                 "α={alpha}: pooled distance {dist} (r = {})",
-                fit.r
+                fit.r()
             );
         }
     }
@@ -277,7 +299,7 @@ mod tests {
         let best = PaluCurve::fit_r_to_zm(alpha, delta, d_max).unwrap();
         let best_dist = best.distance_to_zm(&zm);
         for &factor in &[0.3f64, 3.0] {
-            let r = (best.r.ln() * factor).exp().max(1.0001);
+            let r = (best.r().ln() * factor).exp().max(1.0001);
             let other = PaluCurve::new(alpha, delta, r, d_max).unwrap();
             assert!(
                 other.distance_to_zm(&zm) >= best_dist - 1e-12,

@@ -14,7 +14,7 @@
 //!    one instead of dividing by zero; with several windows the
 //!    inverse-variance weighting is preserved.
 
-use palu_sparse::NetworkQuantity;
+use palu_sparse::{Conversations, NetworkQuantity};
 use palu_suite::prelude::*;
 use palu_traffic::observatory::ObservatoryConfig;
 use palu_traffic::packets::EdgeIntensity;
@@ -84,6 +84,29 @@ fn parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads() {
     // exit cleanly without claiming anything).
     for threads in [1usize, 2, 3, 5, 7, 8, 96] {
         let mut obs = observatory(42, 5_000);
+        let parallel = pool(&mut obs, WINDOWS, threads, None);
+        assert_bitwise_equal(&parallel, &serial, &format!("threads = {threads}"));
+    }
+}
+
+/// Every other window in this file is sparse on the test network
+/// (`N_V < E′` distinct edges), so its mark pass lists first marks. A
+/// dense window marks each packet's edge from its conversation's repeat
+/// bit instead, and the engine must pool it bit for bit as the serial
+/// fold of CSR windows does.
+#[test]
+fn dense_windows_are_bit_identical_to_serial_at_1_2_8_threads() {
+    const WINDOWS: usize = 8;
+    const N_V: u64 = 60_000;
+    let serial = {
+        let obs = observatory(5, N_V);
+        let edges = obs.synthesizer().n_edges();
+        assert!(N_V >= edges as u64, "N_V {N_V} < E′ {edges}: sparse");
+        let windows: Vec<PacketWindow> = (0..WINDOWS as u64).map(|t| obs.window_at(t)).collect();
+        Pipeline::pool(Measurement::UndirectedDegree, &windows)
+    };
+    for threads in [1usize, 2, 8] {
+        let mut obs = observatory(5, N_V);
         let parallel = pool(&mut obs, WINDOWS, threads, None);
         assert_bitwise_equal(&parallel, &serial, &format!("threads = {threads}"));
     }
