@@ -473,7 +473,7 @@ echo "== memory-budget governor smoke =="
 # A tight-but-feasible budget must complete with degradation rungs
 # recorded in the metrics JSON and pooled output bit-identical to the
 # unbudgeted run; a budget below the degraded floor must be refused at
-# admission with exit 1 and the typed message (DESIGN.md §4g). The
+# admission with exit 3 and the typed message (DESIGN.md §4g). The
 # 1 600 000 B limit sits between this workload's floor (~760 KB) and
 # its undegraded peak (~2.8 MB) — rung engagement is deterministic.
 bud_dir="$smoke_dir/budget"

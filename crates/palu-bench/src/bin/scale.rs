@@ -8,7 +8,7 @@
 //! engine at 1 vs N threads with bit-identical pooled results, timed
 //! over alternating repetitions.
 
-use palu_bench::record_json;
+use palu_bench::{record_json, Spread};
 use palu_cli::commands::metrics_json;
 use palu_cli::json::JsonValue;
 use palu_sparse::aggregates::Aggregates;
@@ -21,38 +21,6 @@ use std::time::Instant;
 
 /// Alternating runs per side of the 1-vs-N-thread engine comparison.
 const PIPELINE_REPS: usize = 7;
-
-/// Median and quartiles of repeated wall times, in seconds.
-struct Spread {
-    q1: f64,
-    median: f64,
-    q3: f64,
-}
-
-impl Spread {
-    /// The spread of `samples` (sorted in place; at least one).
-    fn of(samples: &mut [f64]) -> Spread {
-        samples.sort_by(f64::total_cmp);
-        let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
-        Spread {
-            q1: at(0.25),
-            median: at(0.5),
-            q3: at(0.75),
-        }
-    }
-
-    fn show(&self) -> String {
-        format!("{:.3}s (q1 {:.3}, q3 {:.3})", self.median, self.q1, self.q3)
-    }
-
-    fn json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("median", self.median.into()),
-            ("q1", self.q1.into()),
-            ("q3", self.q3.into()),
-        ])
-    }
-}
 
 /// Run the full multi-window pipeline (synthesize → histogram → bin →
 /// merge) over `windows` consecutive windows with the given
@@ -175,9 +143,9 @@ fn main() {
     };
     println!(
         "    serial {}, {} threads {} → {verdict} (bit-identical)",
-        serial.show(),
+        serial.show("s"),
         pipeline_snap.threads,
-        parallel.show()
+        parallel.show("s")
     );
     for (name, ns) in pipeline_snap.stages() {
         println!(

@@ -14,6 +14,48 @@ use palu_traffic::packets::EdgeIntensity;
 use std::io::Write;
 use std::path::PathBuf;
 
+/// Median and quartiles of repeated samples (wall times, speedups),
+/// for figures taken from alternating runs rather than one shot.
+#[derive(Debug, Clone, Copy)]
+pub struct Spread {
+    /// First quartile.
+    pub q1: f64,
+    /// Median.
+    pub median: f64,
+    /// Third quartile.
+    pub q3: f64,
+}
+
+impl Spread {
+    /// The spread of `samples` (sorted in place; at least one).
+    pub fn of(samples: &mut [f64]) -> Spread {
+        samples.sort_by(f64::total_cmp);
+        let at = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
+        Spread {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+
+    /// `median<unit> (q1 …, q3 …)`.
+    pub fn show(&self, unit: &str) -> String {
+        format!(
+            "{:.3}{unit} (q1 {:.3}, q3 {:.3})",
+            self.median, self.q1, self.q3
+        )
+    }
+
+    /// The spread as a `{median, q1, q3}` JSON object.
+    pub fn json(&self) -> JsonValue {
+        JsonValue::obj([
+            ("median", self.median.into()),
+            ("q1", self.q1.into()),
+            ("q3", self.q3.into()),
+        ])
+    }
+}
+
 /// One synthetic vantage point standing in for a Figure 3 panel.
 #[derive(Debug, Clone)]
 pub struct Scenario {

@@ -20,6 +20,15 @@ impl ParsedArgs {
             .ok_or_else(|| format!("missing required option --{key}"))
     }
 
+    /// A string option given with a value: `None` when it is absent
+    /// or a bare flag.
+    pub fn nonempty(&self, key: &str) -> Option<&str> {
+        self.options
+            .get(key)
+            .map(String::as_str)
+            .filter(|s| !s.is_empty())
+    }
+
     /// Optional string option with default.
     pub fn get_or<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
         self.options.get(key).map(String::as_str).unwrap_or(default)
