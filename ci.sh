@@ -46,17 +46,21 @@ echo "== pipeline determinism (1, 2, 8 threads) =="
 # The sharded pipeline's hard contract, run explicitly so CI logs show
 # it even when the quiet test harness truncates: bit-identical pooled
 # results at 1, 2, and 8 threads on a 64-window workload; for dense
-# windows (N_V ≥ E′, whose mark pass reads repeat bits, not the
-# conversation store), against the serial fold of CSR windows; and, for
-# the node volume and source packets, whose busy nodes pass the count
-# pass's by-value cutoff, against a serial fold of the packet-level
-# kernel.
+# windows (N_V ≥ E′, whose mark pass sets each drawn conversation's bit
+# and folds the repeats onto their edges once, and whose count pass
+# sweeps its partner counts), against the serial fold of CSR windows;
+# for the node volume and source packets, whose busy nodes pass the
+# count pass's by-value cutoff, against a serial fold of the
+# packet-level kernel; and journal files byte-identical at 1, 2 and 8
+# threads, as records are appended in window order.
 cargo test -q -p palu-suite --test parallel_pipeline \
     parallel_pipeline_is_bit_identical_to_serial_at_1_2_8_threads
 cargo test -q -p palu-suite --test parallel_pipeline \
     dense_windows_are_bit_identical_to_serial_at_1_2_8_threads
 cargo test -q -p palu-suite --test parallel_pipeline \
     large_degree_measurements_are_bit_identical_to_serial_at_1_2_8_threads
+cargo test -q -p palu-suite --test journal_recovery \
+    journal_bytes_are_identical_at_1_2_8_threads
 # Same contract end-to-end through the bench binary, which also emits
 # results/BENCH_pipeline.json with per-stage timings and packets/sec.
 # --gate additionally enforces the parallel-scaling floor: 8-thread
@@ -386,6 +390,24 @@ for _ in $(seq 1 200); do
 done
 dsp_addr=$(cat "$dsp_dir/addr1")
 
+# A worker whose leased capture is refused at admission exits with the
+# capture's own code (3), as `simulate` and `shard` do, not with the
+# unreachable-service code (8). Its lease is lost with the dispatcher
+# killed below.
+refused_status=0
+"$palu_bin" work "${fed_args[@]}" --server "$dsp_addr" --worker 200 \
+    --work-dir "$dsp_dir/work" --memory-budget 1k 2>"$dsp_dir/work200.log" || refused_status=$?
+if [ "$refused_status" != 3 ]; then
+    echo "ci: a worker refused at admission must exit 3, got $refused_status" >&2
+    cat "$dsp_dir/work200.log" >&2
+    exit 1
+fi
+grep -q "admission refused" "$dsp_dir/work200.log" || {
+    echo "ci: the worker's refusal should cite admission:" >&2
+    cat "$dsp_dir/work200.log" >&2
+    exit 1
+}
+
 # Worker 100 takes a lease and dies mid-capture (--chaos-kill leaves
 # the exact on-disk state of a SIGKILL at that phase: a partial local
 # journal plus the lease-state file, and nothing submitted)…
@@ -452,7 +474,7 @@ if [ "${dsp_covered:-0}" != 12 ]; then
     echo "ci: dispatched capture should cover all 12 windows, got ${dsp_covered:-0}" >&2
     exit 1
 fi
-echo "dispatcher: worker killed mid-capture, dispatcher SIGKILL'd and restarted, fit byte-identical; zombie fenced (exit 9), coverage untouched"
+echo "dispatcher: worker refused at admission (exit 3), worker killed mid-capture, dispatcher SIGKILL'd and restarted, fit byte-identical; zombie fenced (exit 9), coverage untouched"
 
 echo "== stall watchdog smoke =="
 # A window exceeding --window-deadline-ms is classified Stalled and

@@ -379,7 +379,9 @@ COMMANDS:
              the granted window range into a local journal under
              --work-dir, submit it through the idempotent submit
              path, heartbeat on a jittered interval, repeat until the
-             dispatcher reports the capture complete
+             dispatcher reports the capture complete. A leased
+             range's failed capture exits as `shard` would (3
+             admission refused, 7 quarantine overflow, …)
              --server ADDR --work-dir DIR [--worker ID=0]
              [--poll-ms MS=50] [+ retry and wire-fault options, see
              submit] + the simulate options naming the capture's

@@ -5,8 +5,8 @@
 
 use super::capture::SimCapture;
 use super::{
-    min_coverage, pooled_header, positive_ms, report, service_fault_error, write_metrics,
-    write_series, CliError,
+    federation_error, min_coverage, pooled_header, positive_ms, report, service_fault_error,
+    write_metrics, write_series, CliError,
 };
 use crate::args::ParsedArgs;
 use crate::json::JsonValue;
@@ -262,6 +262,7 @@ pub(super) fn dispatch(args: &ParsedArgs) -> Result<(), CliError> {
 pub(super) fn work(args: &ParsedArgs) -> Result<(), CliError> {
     use palu_traffic::{
         resume_zombie, run_worker, FederationError, ServiceFault, WorkPhase, WorkerConfig,
+        WorkerError,
     };
 
     let server = args
@@ -375,7 +376,10 @@ pub(super) fn work(args: &ParsedArgs) -> Result<(), CliError> {
             );
         },
     )
-    .map_err(fault)?;
+    .map_err(|e| match e {
+        WorkerError::Service(e) => fault(e),
+        WorkerError::Capture(e) => federation_error(&e),
+    })?;
     let completed: Vec<String> = report.completed.iter().map(u64::to_string).collect();
     eprintln!(
         "work: worker {} served {} lease(s): {} shard(s) completed{}, {} fenced refusal(s)",

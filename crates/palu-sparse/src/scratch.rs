@@ -39,12 +39,17 @@
 //!   is also listed, with its endpoints when the mark pass knows them,
 //!   and the count pass walks that list, looking the missing endpoints
 //!   up first. A denser window lists nothing, and the count pass scans
-//!   the caller's edges in order instead. Either way each edge or pair
-//!   is read once, so the count costs `O(distinct edges)`, and no hash
-//!   table is involved. Degrees below 1024 are counted by value, so
-//!   only the few larger ones are sorted. `begin_marks` clears whatever a
-//!   window that was marked and never counted (it panicked) left
-//!   behind.
+//!   the caller's edges in order instead. A dense [`Marking::Edges`]
+//!   window needs no name per packet either: it sets each drawn
+//!   conversation's own bit, and one pass over the bit words then folds
+//!   each marked repeat onto its canonical conversation
+//!   ([`EdgeBits::fold`]). Either way each edge or pair is read once,
+//!   so the count costs `O(distinct edges)`, and no hash table is
+//!   involved. A window whose counts cover its node ids drains them by
+//!   one sequential sweep, a sparser one through the list of nodes it
+//!   touched. Degrees below 1024 are counted by value, so only the few
+//!   larger ones are sorted. `begin_marks` clears whatever a window that
+//!   was marked and never counted (it panicked) left behind.
 //!
 //! All scratch-based computations are exact drop-in replacements:
 //! each produces a value **equal** to its allocating counterpart
@@ -172,7 +177,9 @@ struct Mark {
 const UNRESOLVED: u32 = 1 << 31;
 
 /// Most conversations the fused kernel marks: their pair ids, two per
-/// conversation, keep the top bit of a `u32` free for a flag.
+/// conversation, keep the top bit of a `u32` free for a flag, and a
+/// window's distinct edges, each node's most partners, stay far below
+/// the `u32` partner counts' range.
 pub const MAX_CONVERSATIONS: usize = 1 << 30;
 
 /// The fused kernel's per-window state.
@@ -214,16 +221,18 @@ pub struct Marker<'a> {
     live_slot: &'a mut usize,
 }
 
-/// The edge bit set of a dense [`Marking::Edges`] window, lent by
-/// [`Marker::dense_edges`]. The window lists nothing, so a mark is its
-/// edge's id alone: the count pass scans every edge with its endpoints.
+/// The bit set of a dense [`Marking::Edges`] window, one bit per
+/// conversation, lent by [`Marker::dense_edges`]. The window lists
+/// nothing, so a packet's mark is its conversation's own bit, set with
+/// no load; after the last packet, [`EdgeBits::fold`] moves each
+/// marked repeat's bit onto its edge's canonical conversation, and the
+/// count pass scans every edge with its endpoints.
 pub struct EdgeBits<'a> {
     bits: &'a mut [u64],
 }
 
 impl EdgeBits<'_> {
-    /// Mark the edge whose canonical conversation is `id`. Ids out of
-    /// range are ignored.
+    /// Mark conversation `id`. Ids out of range are ignored.
     // lint:hot
     #[inline]
     pub fn mark(&mut self, id: u32) {
@@ -231,11 +240,40 @@ impl EdgeBits<'_> {
             *word |= 1u64 << (id % 64);
         }
     }
+
+    /// Whether conversation `id` is marked.
+    pub fn is_marked(&self, id: u32) -> bool {
+        is_marked(self.bits, id)
+    }
+
+    /// Move every marked repeat's bit onto its edge: bit `i` of
+    /// `repeats` is set when conversation `i` is a repeat, and
+    /// `canonical_of(i)` names repeat `i`'s canonical conversation,
+    /// which is no repeat itself. One pass over the words, calling
+    /// `canonical_of` once per marked repeat, leaves only canonical
+    /// conversations marked: an edge exactly when any of its
+    /// conversations was.
+    // lint:hot
+    pub fn fold(&mut self, repeats: &[u64], mut canonical_of: impl FnMut(usize) -> u32) {
+        for (w, &repeat) in repeats.iter().enumerate() {
+            let Some(word) = self.bits.get_mut(w) else {
+                return;
+            };
+            let mut hit = *word & repeat;
+            *word &= !repeat;
+            while hit != 0 {
+                let i = w * 64 + hit.trailing_zeros() as usize;
+                hit &= hit - 1;
+                self.mark(canonical_of(i));
+            }
+        }
+    }
 }
 
 impl Marker<'_> {
     /// The bit set of a dense [`Marking::Edges`] window, which lists
-    /// nothing and so needs no endpoints; `None` for a sparse window
+    /// nothing and so needs no endpoints: mark each packet's
+    /// conversation, then fold the repeats; `None` for a sparse window
     /// (mark it through [`Marker::mark_edge`]) or a
     /// [`Marking::Pairs`] one.
     pub fn dense_edges(&mut self) -> Option<EdgeBits<'_>> {
@@ -336,15 +374,22 @@ impl Drop for Marker<'_> {
 /// So for any packet slice `ps`, the kernels' histograms equal the CSR
 /// entry point's on `ps` aggregated into a matrix.
 ///
-/// Partner and volume counts use a *touched-list* accumulator: the
-/// dense per-node array is sized once to the largest node id seen,
-/// and only the entries a window actually touched are reset
-/// afterwards, so a sparse window never pays an `O(n_nodes)` clear.
-/// Each count is bumped through a view that keeps the touched list's
-/// length in a register. The resulting degrees are counted by value
-/// below a cutoff of 1024, and only the few above it are sorted, so
-/// the count state is the accumulator, the touched list and a fixed
-/// 8 KB array of by-value counts.
+/// Counts accumulate in a dense per-node array, sized once to the
+/// largest node id seen: `u32` partner counts, as a partner count is at
+/// most the window's distinct edges (fewer than 2³², enforced), and
+/// `u64` packet counts. The window's geometry picks how it is drained:
+///
+/// * a window whose bumps cover its id space (`bumps ≥ n_ids`, so
+///   `2·edges ≥ n_ids` for the undirected degree) bumps with no list
+///   and drains by one sequential sweep of the accumulator;
+/// * a sparser one lists each node on its first bump, through a view
+///   that keeps the list's length in a register, and drains and resets
+///   only the listed nodes, so it never pays an `O(n_nodes)` sweep.
+///
+/// The resulting degrees are counted by value below a cutoff of 1024,
+/// and only the few above it are sorted, so the count state is the
+/// accumulator, the touched list and a fixed 8 KB array of by-value
+/// counts.
 #[derive(Debug, Clone, Default)]
 pub struct DegreeScratch {
     /// The keyed window: packed pairs, see [`EdgeKeys`].
@@ -449,12 +494,15 @@ const SMALL: usize = 1024;
 /// The counting half of [`DegreeScratch`]: one method per
 /// measurement, fed by every entry point.
 ///
-/// A window's counts are bumped through a [`Bumps`] view into the
-/// dense per-node accumulator `counts`, which lists each node in
-/// `touched` on its first bump. Draining then counts each node's
-/// degree by value: one below [`SMALL`] adds one to `small[degree]`,
-/// a larger one is listed in `degrees`. `finish` merges the two, so a
-/// window sorts only its few large degrees.
+/// A window's counts are bumped into the dense per-node accumulator of
+/// their width, `partners` or `packets`. A *swept* window (its bumps
+/// cover its id space) bumps them plainly and drains by a sweep of the
+/// accumulator's first `n_ids` entries; any other window bumps through a
+/// [`Bumps`] view that lists each node in `touched` on its first bump,
+/// and drains the listed nodes only. Draining counts each node's degree
+/// by value: one below [`SMALL`] adds one to `small[degree]`, a larger
+/// one is listed in `degrees`. `finish` merges the two, so a window
+/// sorts only its few large degrees.
 #[derive(Debug, Clone, Default)]
 struct Tally {
     /// How many of the window's degrees equal each value below
@@ -464,31 +512,67 @@ struct Tally {
     /// The window's degrees of [`SMALL`] and above; sorted before
     /// histogram construction.
     degrees: Vec<u64>,
-    /// Dense per-node accumulator (partner counts or packet volumes).
-    counts: Vec<u64>,
-    /// `touched[..live]` lists the node ids given an entry in
-    /// `counts` this window; the rest is write space, sized before
-    /// each count so a first touch is a store, not a push.
+    /// The dense per-node accumulators, zero between windows.
+    acc: Accumulators,
+    /// `touched[..live]` lists the node ids given an entry in the
+    /// accumulator this window; the rest is write space, sized before
+    /// each listed count so a first touch is a store, not a push.
     touched: Vec<NodeId>,
     /// Length of the live prefix of `touched`.
     live: usize,
-    /// Whether a window was begun and not yet finished, so `small` may
-    /// hold its counts.
+    /// Whether the current window is swept: it lists nothing.
+    swept: bool,
+    /// Whether a window was begun and not yet finished, so `small` and,
+    /// for a swept window, the accumulators may hold its counts.
     pending: bool,
 }
 
-/// One window's bumps into a [`Tally`], borrowed by [`Tally::begin`]:
-/// the dense accumulator and the touched list's write space as slices,
-/// with the list's length in a local the bump loop keeps in a register.
-/// It is written back when the view is dropped, or unwinds.
-struct Bumps<'a> {
-    counts: &'a mut [u64],
+/// A [`Tally`]'s per-node accumulators, one per count width.
+#[derive(Debug, Clone, Default)]
+struct Accumulators {
+    /// Distinct partners per node (the undirected degree).
+    partners: Vec<u32>,
+    /// Packets, fan-outs or fan-ins per node.
+    packets: Vec<u64>,
+}
+
+/// Most distinct edges an undirected-degree window may hold: a node's
+/// partner count is at most the window's distinct edges, so its `u32`
+/// count cannot wrap. The fused kernel's windows stay far below it
+/// ([`MAX_CONVERSATIONS`]).
+const MAX_PARTNER_EDGES: usize = u32::MAX as usize;
+
+/// A per-node count a [`Tally`] accumulates, with the accumulator that
+/// holds counts of its width.
+trait Tallied: Copy + Default + PartialEq + std::ops::AddAssign + Into<u64> {
+    /// This width's accumulator.
+    fn accumulator(acc: &mut Accumulators) -> &mut Vec<Self>;
+}
+
+impl Tallied for u32 {
+    fn accumulator(acc: &mut Accumulators) -> &mut Vec<u32> {
+        &mut acc.partners
+    }
+}
+
+impl Tallied for u64 {
+    fn accumulator(acc: &mut Accumulators) -> &mut Vec<u64> {
+        &mut acc.packets
+    }
+}
+
+/// One listed window's bumps into a [`Tally`] accumulator: the
+/// accumulator and the touched list's write space as slices, with the
+/// list's length in a local the bump loop keeps in a register. It is
+/// written back when the view is dropped, or unwinds.
+struct Bumps<'a, C> {
+    counts: &'a mut [C],
     touched: &'a mut [NodeId],
     live: usize,
     live_slot: &'a mut usize,
 }
 
-impl Bumps<'_> {
+impl<C: Tallied> Bumps<'_, C> {
     /// Add `v` to `counts[id]`. Every bump stores `id` just past the
     /// live prefix of `touched` and extends the prefix over it on a
     /// first touch: a store and an add in place of a branch the data
@@ -499,20 +583,20 @@ impl Bumps<'_> {
     /// unreachable in practice — the guard replaces an indexing panic,
     /// not a behaviour).
     #[inline]
-    fn bump(&mut self, id: NodeId, v: u64) {
-        if v == 0 {
+    fn bump(&mut self, id: NodeId, v: C) {
+        if v == C::default() {
             return;
         }
         let c = self.counts.get_mut(id as usize);
         if let (Some(c), Some(slot)) = (c, self.touched.get_mut(self.live)) {
             *slot = id;
-            self.live += usize::from(*c == 0);
+            self.live += usize::from(*c == C::default());
             *c += v;
         }
     }
 }
 
-impl Drop for Bumps<'_> {
+impl<C> Drop for Bumps<'_, C> {
     fn drop(&mut self) {
         *self.live_slot = self.live;
     }
@@ -544,58 +628,98 @@ fn dims(a: &CsrMatrix) -> usize {
 
 impl Tally {
     /// Start a window over `n_ids` node ids in which at most `bumps`
-    /// counts are bumped: zero any residue, grow the dense accumulator
-    /// and the touched list's write space, clear the degree list, and
-    /// lend out the bumps.
+    /// counts are bumped: zero any residue, pick how the window drains,
+    /// grow a listed window's write space, and clear the degree list.
+    /// Returns whether the window is swept.
     ///
     /// A finished window leaves no residue, so the reset is free; it
     /// matters when a previous count on this scratch panicked
     /// mid-accumulation or mid-`finish` (the pipeline reuses arenas
-    /// across `catch_unwind` boundaries) and stale touched or by-value
-    /// counts would otherwise leak into the next window's histogram.
-    fn begin(&mut self, n_ids: usize, bumps: usize) -> Bumps<'_> {
+    /// across `catch_unwind` boundaries) and stale counts would otherwise
+    /// leak into the next window's histogram. A stranded listed window is
+    /// reset through its list, a stranded swept one wholesale.
+    fn begin(&mut self, n_ids: usize, bumps: usize) -> bool {
+        if self.pending {
+            if self.swept {
+                self.acc.partners.fill(0);
+                self.acc.packets.fill(0);
+            }
+            self.small.fill(0);
+        }
         for &id in self.touched.iter().take(self.live) {
-            if let Some(c) = self.counts.get_mut(id as usize) {
+            if let Some(c) = self.acc.partners.get_mut(id as usize) {
+                *c = 0;
+            }
+            if let Some(c) = self.acc.packets.get_mut(id as usize) {
                 *c = 0;
             }
         }
         self.live = 0;
-        if self.pending {
-            self.small.fill(0);
-        }
         self.pending = true;
+        self.swept = bumps >= n_ids;
         grow(&mut self.small, SMALL);
-        // A window touches at most min(ids, bumps) ids; the extra slot
-        // takes the store a repeat touch makes past the live prefix.
-        grow(&mut self.touched, n_ids.min(bumps) + 1);
-        grow(&mut self.counts, n_ids);
-        self.degrees.clear();
-        Bumps {
-            counts: &mut self.counts,
-            touched: &mut self.touched,
-            live: 0,
-            live_slot: &mut self.live,
+        if !self.swept {
+            // A window touches at most min(ids, bumps) ids; the extra
+            // slot takes the store a repeat touch makes past the live
+            // prefix.
+            grow(&mut self.touched, n_ids.min(bumps) + 1);
         }
+        self.degrees.clear();
+        self.swept
     }
 
-    /// Count the touched nodes' degrees by value, reset exactly the
-    /// touched entries, and build the histogram. No count of 0 is
-    /// listed, as a bump by 0 is skipped, so none becomes a degree.
+    /// Add each of at most `n_bumps` `(id, count)` bumps, ids below
+    /// `n_ids`, to the accumulator of its width, count the bumped nodes'
+    /// degrees by value while zeroing them, and build the histogram. No
+    /// count of 0 becomes a degree.
     // lint:hot
-    fn drain_touched(&mut self) -> DegreeHistogram {
+    fn count<C: Tallied>(
+        &mut self,
+        bumps: impl Iterator<Item = (NodeId, C)>,
+        n_bumps: usize,
+        n_ids: usize,
+    ) -> DegreeHistogram {
+        let swept = self.begin(n_ids, n_bumps);
         let Self {
             small,
             degrees,
-            counts,
+            acc,
             touched,
+            live,
             ..
         } = self;
-        for &id in touched.iter().take(self.live) {
-            if let Some(c) = counts.get_mut(id as usize) {
-                count_degree(small, degrees, std::mem::take(c));
+        let counts = C::accumulator(acc);
+        grow(counts, n_ids);
+        if swept {
+            bumps.for_each(|(id, v)| {
+                if let Some(c) = counts.get_mut(id as usize) {
+                    *c += v;
+                }
+            });
+            for c in counts.iter_mut().take(n_ids) {
+                count_degree(small, degrees, std::mem::take(c).into());
             }
+            // The sweep counted each id left at 0 as a degree 0: none
+            // is one.
+            if let Some(zeros) = small.first_mut() {
+                *zeros = 0;
+            }
+        } else {
+            let mut b = Bumps {
+                counts: counts.as_mut_slice(),
+                touched: touched.as_mut_slice(),
+                live: 0,
+                live_slot: &mut *live,
+            };
+            bumps.for_each(|(id, v)| b.bump(id, v));
+            drop(b);
+            for &id in touched.iter().take(*live) {
+                if let Some(c) = counts.get_mut(id as usize) {
+                    count_degree(small, degrees, std::mem::take(c).into());
+                }
+            }
+            *live = 0;
         }
-        self.live = 0;
         self.finish()
     }
 
@@ -620,6 +744,11 @@ impl Tally {
     /// Distinct partners per node over at most `n_edges` deduplicated
     /// undirected edges, in any order. A self-loop is one partner (the
     /// node itself), matching partner-set semantics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_edges` passes [`MAX_PARTNER_EDGES`], so no `u32`
+    /// partner count can wrap.
     // lint:hot
     fn undirected(
         &mut self,
@@ -627,15 +756,12 @@ impl Tally {
         n_edges: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
-        let mut b = self.begin(n_ids, n_edges.saturating_mul(2));
-        for (lo, hi) in edges {
-            b.bump(lo, 1);
-            if hi != lo {
-                b.bump(hi, 1);
-            }
-        }
-        drop(b);
-        self.drain_touched()
+        assert!(
+            n_edges <= MAX_PARTNER_EDGES,
+            "{n_edges} distinct edges in one window: partner counts are u32"
+        );
+        let ends = edges.flat_map(|(lo, hi)| [(lo, 1), (hi, u32::from(hi != lo))]);
+        self.count(ends, n_edges.saturating_mul(2), n_ids)
     }
 
     /// Packets each node sent or received over at most `n_entries`
@@ -648,13 +774,8 @@ impl Tally {
         n_entries: usize,
         n_ids: usize,
     ) -> DegreeHistogram {
-        let mut b = self.begin(n_ids, n_entries.saturating_mul(2));
-        for (src, dst, v) in entries {
-            b.bump(src, v);
-            b.bump(dst, v);
-        }
-        drop(b);
-        self.drain_touched()
+        let ends = entries.flat_map(|(src, dst, v)| [(src, v), (dst, v)]);
+        self.count(ends, n_entries.saturating_mul(2), n_ids)
     }
 
     /// One Figure 1 quantity over at most `n_entries` distinct
@@ -671,7 +792,7 @@ impl Tally {
         n_ids: usize,
     ) -> DegreeHistogram {
         if q == NetworkQuantity::LinkPackets {
-            drop(self.begin(0, 0));
+            self.begin(0, 0);
             for (_, _, v) in entries {
                 count_degree(&mut self.small, &mut self.degrees, v);
             }
@@ -685,12 +806,9 @@ impl Tally {
             q,
             NetworkQuantity::SourcePackets | NetworkQuantity::DestinationPackets
         );
-        let mut b = self.begin(n_ids, n_entries);
-        for (src, dst, v) in entries {
-            b.bump(if by_src { src } else { dst }, if packets { v } else { 1 });
-        }
-        drop(b);
-        self.drain_touched()
+        let ends = entries
+            .map(|(src, dst, v)| (if by_src { src } else { dst }, if packets { v } else { 1 }));
+        self.count(ends, n_entries, n_ids)
     }
 }
 
@@ -851,6 +969,11 @@ impl DegreeScratch {
 
     /// Undirected-degree histogram of pairs keyed as
     /// [`EdgeKeys::Undirected`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window holds 2³² or more distinct edges: partner
+    /// counts are `u32`, and at most one per distinct edge.
     pub fn undirected_degree_of_keys(&mut self) -> DegreeHistogram {
         let edges = self.keys.iter().map(|&k| unpack(k));
         self.tally.undirected(edges, self.keys.len(), self.n_ids)
@@ -878,6 +1001,11 @@ impl DegreeScratch {
     /// `PacketWindow::undirected_degree_histogram` output — a
     /// self-loop contributes exactly one partner (the host itself),
     /// matching the partner-set semantics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window holds 2³² or more distinct edges: partner
+    /// counts are `u32`, and at most one per distinct edge.
     pub fn undirected_degree_histogram(&mut self, a: &CsrMatrix) -> DegreeHistogram {
         self.key_pairs(
             EdgeKeys::Undirected,
@@ -908,7 +1036,8 @@ impl DegreeScratch {
     /// lists each edge or pair as it is first marked, and its count pass
     /// walks the list. A dense window lists nothing, and its count pass
     /// scans every edge; a dense [`Marking::Edges`] window lends its bit
-    /// set through [`Marker::dense_edges`].
+    /// set through [`Marker::dense_edges`], to be marked per packet and
+    /// folded once.
     pub fn begin_marks(
         &mut self,
         marking: Marking,
@@ -921,7 +1050,12 @@ impl DegreeScratch {
     }
 
     /// Undirected-degree histogram of a [`Marking::Edges`] window over
-    /// `net`'s conversations.
+    /// `net`'s conversations. Its partner counts are `u32`, at most one
+    /// per distinct edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` has 2³² or more distinct edges.
     // lint:hot
     pub fn undirected_degree_of_marks(&mut self, net: &impl Conversations) -> DegreeHistogram {
         let Self { tally, marks, .. } = self;
@@ -1160,7 +1294,7 @@ mod tests {
             s.tally.volume(entries, 10, 6)
         }));
         assert!(counted.is_err());
-        assert!(s.tally.live > 0);
+        assert!(stranded(&s.tally));
         assert_eq!(kernel_histograms(&mut s, &pairs), expected);
         // A window with degrees on both sides of the by-value cutoff,
         // after a count that panicked with nodes bumped on both sides
@@ -1175,17 +1309,25 @@ mod tests {
             s.tally.volume(entries, 10, 8)
         }));
         assert!(bumped.is_err());
-        assert!(s.tally.live > 0);
+        assert!(stranded(&s.tally));
         assert_eq!(kernel_histograms(&mut s, &stars), expected);
         strand_a_finish(&mut s);
         assert_eq!(kernel_histograms(&mut s, &stars), expected);
+    }
+
+    /// Whether `t` holds counts of a window that was begun and never
+    /// drained: a listed window's touched ids, or a swept window's
+    /// nonzero accumulator entries.
+    fn stranded(t: &Tally) -> bool {
+        let nonzero = t.acc.partners.iter().any(|&c| c > 0) || t.acc.packets.iter().any(|&c| c > 0);
+        t.live > 0 || (t.pending && t.swept && nonzero)
     }
 
     /// Leave `s` as a `finish` that panicked would: a begun window's
     /// by-value counts and large degrees, never read.
     fn strand_a_finish(s: &mut DegreeScratch) {
         let t = &mut s.tally;
-        drop(t.begin(0, 0));
+        t.begin(0, 0);
         for d in [1, 7, 1023, 1024, 5_000] {
             count_degree(&mut t.small, &mut t.degrees, d);
         }
@@ -1304,6 +1446,8 @@ mod tests {
     struct Net {
         edges: Vec<(u32, u32)>,
         first: Vec<u32>,
+        /// Bit `j` is set when conversation `j` is a repeat.
+        repeats: Vec<u64>,
         trap: std::cell::Cell<Option<usize>>,
     }
 
@@ -1315,10 +1459,17 @@ mod tests {
                     let (u, v) = edges[i as usize];
                     *seen.entry((u.min(v), u.max(v))).or_insert(i)
                 })
-                .collect();
+                .collect::<Vec<u32>>();
+            let mut repeats = vec![0u64; edges.len().div_ceil(64)];
+            for (j, &f) in first.iter().enumerate() {
+                if f as usize != j {
+                    repeats[j / 64] |= 1 << (j % 64);
+                }
+            }
             Net {
                 edges: edges.to_vec(),
                 first,
+                repeats,
                 trap: std::cell::Cell::new(None),
             }
         }
@@ -1332,14 +1483,15 @@ mod tests {
 
         /// Mark `packets`, `(conversation, forward)`, as the synthesizer
         /// does: a repeat by its edge's first conversation, with its
-        /// endpoints left to the count pass, and a dense window's edges
-        /// by id alone.
+        /// endpoints left to the count pass, and a dense edge window's
+        /// conversations by their own bits, folded once after the last.
         fn mark(&self, s: &mut DegreeScratch, marking: Marking, packets: &[(usize, bool)]) {
             let mut marker = s.begin_marks(marking, self, packets.len());
             if let Some(mut bits) = marker.dense_edges() {
                 for &(j, _) in packets {
-                    bits.mark(self.first[j]);
+                    bits.mark(j as u32);
                 }
+                bits.fold(&self.repeats, |j| self.first[j]);
                 return;
             }
             for &(j, forward) in packets {
@@ -1565,7 +1717,7 @@ mod tests {
                 }));
                 net.trap.set(None);
                 assert!(counted.is_err(), "{marking:?}, {trap}");
-                assert!(s.tally.live > 0);
+                assert!(stranded(&s.tally), "{marking:?}, {trap}");
                 let got = net.histograms(&mut s, &next);
                 assert_eq!(got, expected, "count {marking:?}, {trap}");
             }
@@ -1573,6 +1725,152 @@ mod tests {
             let got = net.histograms(&mut s, &next);
             assert_eq!(got, expected, "finish {marking:?}");
         }
+    }
+
+    /// `pairs`' undirected degree, node volume and Figure 1 quantities,
+    /// in [`kernel_histograms`]' order, by allocating references that do
+    /// not count through a [`Tally`].
+    fn references(pairs: &[(u32, u32)]) -> Vec<DegreeHistogram> {
+        let a = CooMatrix::from_packet_pairs(pairs.iter().copied()).to_csr();
+        let mut out = vec![reference_undirected(&a), reference_volume(&a)];
+        out.extend(NetworkQuantity::ALL.map(|q| q.histogram(&a)));
+        out
+    }
+
+    /// Packets each node of `a` sent or received, from its row and
+    /// column sums.
+    fn reference_volume(a: &CsrMatrix) -> DegreeHistogram {
+        let (sent, received) = (a.row_sums(), a.col_sums());
+        let n = sent.len().max(received.len());
+        DegreeHistogram::from_degrees((0..n).filter_map(|i| {
+            let t = sent.get(i).copied().unwrap_or(0) + received.get(i).copied().unwrap_or(0);
+            (t > 0).then_some(t)
+        }))
+    }
+
+    #[test]
+    fn windows_either_side_of_the_sweep_threshold_match_the_references() {
+        let mut s = DegreeScratch::new();
+        for n_edges in [1u32, 2, 3, 64, 500] {
+            for n_ids in [2 * n_edges - 1, 2 * n_edges, 2 * n_edges + 1] {
+                // A path over the first ids and one edge to the last id:
+                // `n_edges` distinct edges over ids below `n_ids`.
+                let mut edges: Vec<(u32, u32)> = (0..n_edges - 1).map(|k| (k, k + 1)).collect();
+                edges.push((0, n_ids - 1));
+                let packets: Vec<(usize, bool)> = (0..edges.len())
+                    .flat_map(|k| std::iter::repeat_n((k, k % 2 == 0), k % 3 + 1))
+                    .collect();
+                let pairs: Vec<(u32, u32)> = packets
+                    .iter()
+                    .map(|&(k, forward)| {
+                        let (u, v) = edges[k];
+                        if forward {
+                            (u, v)
+                        } else {
+                            (v, u)
+                        }
+                    })
+                    .collect();
+                let want = references(&pairs);
+                let sweeps = 2 * n_edges >= n_ids;
+                let label = format!("{n_edges} edges, {n_ids} ids");
+                s.key_pairs(EdgeKeys::Undirected, pairs.iter().copied());
+                assert_eq!(s.undirected_degree_of_keys(), want[0], "{label}");
+                assert_eq!(s.tally.swept, sweeps, "{label}");
+                let net = Net::new(&edges);
+                net.mark(&mut s, Marking::Edges, &packets);
+                assert_eq!(s.undirected_degree_of_marks(&net), want[0], "{label}");
+                assert_eq!(s.tally.swept, sweeps, "{label}");
+                assert_eq!(kernel_histograms(&mut s, &pairs), want, "{label}");
+                assert_eq!(net.histograms(&mut s, &packets), want, "{label}");
+                let a = CooMatrix::from_packet_pairs(pairs.iter().copied()).to_csr();
+                assert_eq!(s.undirected_degree_histogram(&a), want[0], "{label}");
+                assert_eq!(s.node_volume_histogram(&a), want[1], "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_swept_or_listed_count_leaves_the_next_window_exact() {
+        let mut rng = palu_stats::rng::Xoshiro256pp::seed_from_u64(0x5ee9);
+        // The next window sweeps (80 edge ends over 30 ids) or lists
+        // (6 edge ends over 1 001 ids).
+        let dense = window_of(&mut rng, 40, 2, 30);
+        let sparse = [(0u32, 1000u32), (5, 7), (7, 7)];
+        // Ten bumps over ids below 6, the seventh of which panics, into
+        // the partner or the packet accumulator, swept (8 ids) or listed
+        // (100 ids).
+        let partners = |s: &mut DegreeScratch, n_ids| {
+            let edges = (0..10u32).map(|i| {
+                assert!(i < 6, "injected panic while counting");
+                (i % 4, 5 - i % 4)
+            });
+            s.tally.undirected(edges, 10, n_ids)
+        };
+        let packets = |s: &mut DegreeScratch, n_ids| {
+            let entries = (0..10u32).map(|i| {
+                assert!(i < 6, "injected panic while counting");
+                (i % 4, 5 - i % 4, 1024)
+            });
+            s.tally.volume(entries, 10, n_ids)
+        };
+        let mut s = DegreeScratch::new();
+        for next in [&dense[..], &sparse[..]] {
+            let want = references(next);
+            for strand in [partners, packets] {
+                for (n_ids, swept) in [(8, true), (100, false)] {
+                    let counted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        strand(&mut s, n_ids)
+                    }));
+                    assert!(counted.is_err());
+                    assert_eq!(s.tally.swept, swept);
+                    assert!(stranded(&s.tally), "{n_ids} ids");
+                    assert_eq!(kernel_histograms(&mut s, next), want, "{n_ids} ids");
+                    assert!(!stranded(&s.tally));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packet_counts_past_u32_stay_exact_swept_or_listed() {
+        use NetworkQuantity::SourcePackets;
+        // Node 0 sends 2^31 + 1 packets on each of two links: 2^32 + 2.
+        let half = (1u64 << 31) + 1;
+        for far in [None, Some(5_000u32)] {
+            let mut m = CooMatrix::new();
+            m.push(0, 1, half);
+            m.push(0, 2, half);
+            let mut volumes = vec![2 * half, half, half];
+            let mut sent = vec![2 * half];
+            if let Some(far) = far {
+                m.push(far, far + 1, 1);
+                volumes.extend([1, 1]);
+                sent.push(1);
+            }
+            let a = m.to_csr();
+            let mut s = DegreeScratch::new();
+            assert_eq!(
+                s.node_volume_histogram(&a),
+                DegreeHistogram::from_degrees(volumes),
+                "{far:?}"
+            );
+            assert_eq!(s.tally.swept, far.is_none());
+            assert_eq!(
+                s.quantity_histogram(SourcePackets, &a),
+                DegreeHistogram::from_degrees(sent),
+                "{far:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "partner counts are u32")]
+    fn partner_counts_refuse_a_window_past_their_range() {
+        let edges = std::iter::empty();
+        DegreeScratch::new()
+            .tally
+            .undirected(edges, MAX_PARTNER_EDGES + 1, 4);
     }
 
     /// The window's distinct undirected keys in first-seen order.

@@ -832,6 +832,35 @@ pub struct WorkerReport {
     pub killed: Option<WorkPhase>,
 }
 
+/// Why a worker stopped serving leases.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkerError {
+    /// The dispatcher or its collector refused, or could not be
+    /// reached: a wire-level fault.
+    Service(ServiceFault),
+    /// The worker's own capture of a leased range failed, as the same
+    /// capture run by `shard` would: an admission refusal, a quarantine
+    /// overflow, an aborted window, a journal failure.
+    Capture(FederationError),
+}
+
+impl From<ServiceFault> for WorkerError {
+    fn from(fault: ServiceFault) -> Self {
+        WorkerError::Service(fault)
+    }
+}
+
+impl std::fmt::Display for WorkerError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WorkerError::Service(fault) => fault.fmt(f),
+            WorkerError::Capture(e) => write!(f, "shard capture failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for WorkerError {}
+
 /// The name of a worker's local journal for one shard — stable so a
 /// resumed or zombie worker finds its own bytes.
 pub fn worker_journal_name(worker: u64, shards: u64, shard: u64) -> String {
@@ -965,16 +994,18 @@ fn work_done_round(
 ///
 /// # Errors
 ///
-/// Identity skew between `cfg.expect` and a granted ticket, capture
-/// failures, and transport exhaustion. Fencing is *not* an error —
-/// it is counted in the report and the worker moves on.
+/// [`WorkerError::Capture`], carrying `capture`'s own typed error, when
+/// a leased range's capture fails; [`WorkerError::Service`] for identity
+/// skew between `cfg.expect` and a granted ticket and for transport
+/// exhaustion. Fencing is *not* an error — it is counted in the report
+/// and the worker moves on.
 pub fn run_worker<C, G>(
     cfg: &WorkerConfig,
     injector: &WireInjector,
     chaos: Option<WorkPhase>,
     mut capture: C,
     mut on_grant: G,
-) -> Result<WorkerReport, ServiceFault>
+) -> Result<WorkerReport, WorkerError>
 where
     C: FnMut(&LeaseTicket, &Journal, Option<u64>) -> Result<(), FederationError>,
     G: FnMut(&LeaseTicket),
@@ -999,23 +1030,23 @@ where
             LeaseOffer::Complete => return Ok(report),
             LeaseOffer::Wait => {
                 if start.elapsed() >= cfg.retry.deadline {
-                    return Err(ServiceFault::Unavailable {
+                    return Err(WorkerError::Service(ServiceFault::Unavailable {
                         detail: "dispatcher kept the worker waiting past the retry deadline"
                             .to_string(),
-                    });
+                    }));
                 }
                 std::thread::sleep(cfg.poll);
             }
             LeaseOffer::Granted(ticket) => {
                 report.leases += 1;
                 if ticket.fingerprint != cfg.expect.fingerprint {
-                    return Err(ServiceFault::IdentitySkew {
+                    return Err(WorkerError::Service(ServiceFault::IdentitySkew {
                         fault: JournalFault::ConfigMismatch {
                             field: "fingerprint".to_string(),
                             journal: format!("{:#018x}", ticket.fingerprint),
                             run: format!("{:#018x}", cfg.expect.fingerprint),
                         },
-                    });
+                    }));
                 }
                 on_grant(&ticket);
                 match serve_lease(cfg, injector, chaos, &ticket, &mut capture)? {
@@ -1044,7 +1075,7 @@ fn serve_lease<C>(
     chaos: Option<WorkPhase>,
     ticket: &LeaseTicket,
     capture: &mut C,
-) -> Result<LeaseEnd, ServiceFault>
+) -> Result<LeaseEnd, WorkerError>
 where
     C: FnMut(&LeaseTicket, &Journal, Option<u64>) -> Result<(), FederationError>,
 {
@@ -1101,9 +1132,7 @@ where
         drop(done);
         out
     });
-    captured.map_err(|e| ServiceFault::Unavailable {
-        detail: format!("shard capture failed: {e}"),
-    })?;
+    captured.map_err(WorkerError::Capture)?;
     if matches!(chaos, Some(WorkPhase::MidCapture | WorkPhase::PreSubmit)) {
         // SIGKILL here: journal is on disk (partial for mid-capture),
         // nothing submitted, lease left to expire.
@@ -1137,7 +1166,7 @@ where
         // byte-idempotent with whoever now owns the range, so the only
         // loss is this worker's credit.
         Err(fault) if fault.refusal() == RefusalClass::Fenced => Ok(LeaseEnd::Fenced),
-        Err(fault) => Err(fault),
+        Err(fault) => Err(fault.into()),
     }
 }
 

@@ -88,7 +88,7 @@ pub use budget::{
 pub use dispatch::{
     request_lease, resume_zombie, run_worker, send_heartbeat, send_work_done, worker_journal_name,
     DispatchConfig, DispatchFault, DispatchReport, DispatchServer, Dispatcher, WorkPhase,
-    WorkerConfig, WorkerReport, ZombieOutcome,
+    WorkerConfig, WorkerError, WorkerReport, ZombieOutcome,
 };
 pub use fault::{
     FailurePolicy, FaultAction, FaultKind, FaultRecord, FaultReport, InjectedFault, InjectionSpec,

@@ -12,11 +12,14 @@
 //! **Cost per draw.** A packet costs two RNG outputs, one resolution
 //! of the uniform `x ∈ [0, total]` to a conversation index, and one
 //! gather from the conversation array, 8 B a conversation. A dense
-//! undirected-degree window (`N_V ≥ E′`) replaces the gather with a
-//! read of the conversation's repeat bit, `E / 8` bytes in all (28 KB
-//! on the benchmark's shared spec, against its 1.8 MB store), and only
-//! a repeat, 13 % of the conversations there, loads its word. Every
-//! resolution returns
+//! undirected-degree window (`N_V ≥ E′`) has no gather: a packet sets
+//! its conversation's own bit, with no branch and no load. After the
+//! draws, one pass over the repeat bits, `E / 8` bytes in all (28 KB on
+//! the benchmark's shared spec, against its 1.8 MB store), moves each
+//! drawn repeat's bit onto its canonical conversation, loading one
+//! store word per distinct repeat drawn (13 % of the conversations
+//! there are repeats). So that mark pass costs the draws and one bit
+//! set a packet. Every resolution returns
 //! exactly `cumulative.partition_point(|&c| c < x).min(E − 1)` over
 //! the cumulative intensity table, so the packets are the same byte
 //! for byte as a binary search's.
@@ -53,12 +56,14 @@
 //! same `{min(u, v), max(u, v)}`, and only those, share a name, so the
 //! marked set is exactly the window's edge set. A canonical
 //! conversation names itself, so a dense window, which lists no
-//! endpoints, finds each packet's edge from its repeat bit and loads
-//! the word of a repeat only.
+//! endpoints, marks each packet's own conversation and folds the
+//! repeats it marked onto their canonical conversations once, after
+//! the draws: an edge is marked exactly when any of its conversations
+//! was drawn.
 
 use crate::fault::WindowFault;
 use palu_graph::graph::Graph;
-use palu_sparse::{Conversations, DegreeScratch, Marking};
+use palu_sparse::{Conversations, DegreeScratch, EdgeBits, Marking};
 use palu_stats::rng::Rng;
 
 /// One observed packet: a directed source → destination datagram.
@@ -102,8 +107,8 @@ pub struct PacketSynthesizer {
     /// [`conversation_store`] words.
     conversations: Vec<(u32, u32)>,
     /// Bit `i` is set exactly when conversation `i`'s word carries
-    /// [`REPEAT`]: `E / 8` bytes that a dense window's mark pass reads
-    /// in place of the store.
+    /// [`REPEAT`]: `E / 8` bytes over which a dense window's mark pass
+    /// folds its marked repeats, once per window.
     repeat_bits: Vec<u64>,
     /// Distinct undirected edges `E′` among the conversations.
     n_edges: usize,
@@ -491,10 +496,11 @@ impl PacketSynthesizer {
     /// (`DegreeScratch::*_of_marks` over this synthesizer's
     /// [`Conversations`]) then reads it.
     ///
-    /// A dense [`Marking::Edges`] window lists nothing, so it marks each
-    /// packet's edge by [`PacketSynthesizer::dense_edge_of`], from the
-    /// conversation's repeat bit; every other window gathers the
-    /// conversation's store word.
+    /// A dense [`Marking::Edges`] window lists nothing, so each packet
+    /// sets its conversation's own bit, with no load; one pass over the
+    /// repeat bits then folds the drawn repeats onto their edges
+    /// ([`PacketSynthesizer::fold_repeats`]). Every other window gathers
+    /// each drawn conversation's store word.
     ///
     /// # Errors
     ///
@@ -508,10 +514,12 @@ impl PacketSynthesizer {
     ) -> Result<(), WindowFault> {
         let mut marker = scratch.begin_marks(marking, self, n);
         if let Some(mut bits) = marker.dense_edges() {
-            return self.for_each_index(rng, n, |i, _| {
-                bits.mark(self.dense_edge_of(i));
+            self.for_each_index(rng, n, |i, _| {
+                bits.mark(i as u32);
                 Ok(())
-            });
+            })?;
+            self.fold_repeats(&mut bits);
+            return Ok(());
         }
         match marking {
             Marking::Edges => self.for_each_draw(rng, n, |i, (u, w), _| {
@@ -523,6 +531,18 @@ impl PacketSynthesizer {
                 marker.mark_pair(id, reversed, p.src, p.dst, 1, known);
             }),
         }
+    }
+
+    /// Fold a dense window's marked conversations onto their edges: each
+    /// marked repeat's bit moves to its canonical conversation, read from
+    /// the repeat's store word, so a window loads one word per repeat it
+    /// drew, not per packet.
+    fn fold_repeats(&self, bits: &mut EdgeBits<'_>) {
+        bits.fold(&self.repeat_bits, |r| {
+            self.conversations
+                .get(r)
+                .map_or(u32::MAX, |&(_, w)| w & CANONICAL)
+        });
     }
 
     /// [`PacketSynthesizer::mark_into`] for a window of `n` copies of
@@ -609,28 +629,6 @@ impl PacketSynthesizer {
             }
         }
         Ok(())
-    }
-
-    /// The edge conversation `i` runs over, named as [`edge_of`] names
-    /// it, read from `i`'s repeat bit: a canonical conversation is its
-    /// own edge, and only a repeat loads its store word, for its
-    /// canonical conversation. The branch mispredicts on some repeats,
-    /// but it skips the load for every canonical conversation: on a
-    /// shared 2-vCPU host it beat a branch-free masked load (which reads
-    /// word 0 for a canonical one) both on the `wide` spec and at
-    /// `N_V = 10⁸` (EXPERIMENTS.md E-PERF).
-    // lint:hot
-    fn dense_edge_of(&self, i: usize) -> u32 {
-        let repeat = self
-            .repeat_bits
-            .get(i / 64)
-            .is_some_and(|&bits| bits >> (i % 64) & 1 == 1);
-        if repeat {
-            let (_, w) = self.conversations.get(i).copied().unwrap_or_default();
-            w & CANONICAL
-        } else {
-            i as u32
-        }
     }
 
     /// The effective edge-retention probability `p` a window of `n_v`
@@ -778,6 +776,7 @@ fn bucket(x: f64, scale: f64, last: usize) -> usize {
 mod tests {
     use super::*;
     use palu_graph::graph::Graph;
+    use palu_stats::histogram::DegreeHistogram;
     use palu_stats::rng::Xoshiro256pp;
 
     fn ring(n: u32) -> Graph {
@@ -1063,7 +1062,11 @@ mod tests {
         assert_eq!(syn.n_edges(), 6);
         assert_eq!(syn.n_ids(), 8);
         for (i, (&word, &(u, v))) in syn.conversations.iter().zip(&MULTIGRAPH).enumerate() {
-            assert_eq!(syn.dense_edge_of(i), first[i], "conversation {i}");
+            assert_eq!(
+                dense_window(&syn, &[i as u32]).0,
+                [first[i]],
+                "conversation {i}"
+            );
             let i = i as u32;
             assert_eq!(syn.endpoints(word), (u, v), "conversation {i}");
             for forward in [true, false] {
@@ -1096,11 +1099,11 @@ mod tests {
         syn.repeat_bits[i / 64] >> (i % 64) & 1 == 1
     }
 
-    #[test]
-    fn repeat_bits_flag_exactly_the_repeats_across_word_edges() {
-        // 130 conversations, not a multiple of 64: every one its own
-        // edge but three repeats, at either side of the first word edge
-        // and at the end, in the last (partial) word.
+    /// 130 conversations, not a multiple of 64: every one its own edge
+    /// but three repeats, at either side of the first word edge and at
+    /// the end, in the last (partial) word. Repeats 63, 64 and 129 run
+    /// over the edges of conversations 0, 1 and 2.
+    fn word_edge_synthesizer() -> (PacketSynthesizer, Vec<(u32, u32)>) {
         let mut edges: Vec<(u32, u32)> = (0..130).map(|i| (i, i + 200)).collect();
         edges[63] = (200, 0);
         edges[64] = (1, 201);
@@ -1111,6 +1114,30 @@ mod tests {
         }
         let mut rng = Xoshiro256pp::seed_from_u64(19);
         let syn = PacketSynthesizer::new(&g, EdgeIntensity::Uniform, &mut rng);
+        (syn, edges)
+    }
+
+    /// A dense edge window of `syn` that drew the conversations `drawn`,
+    /// marked and folded as `mark_into` does: the conversations it leaves
+    /// marked, and its undirected-degree histogram.
+    fn dense_window(syn: &PacketSynthesizer, drawn: &[u32]) -> (Vec<u32>, DegreeHistogram) {
+        let mut scratch = DegreeScratch::new();
+        let mut marker = scratch.begin_marks(Marking::Edges, syn, syn.n_edges());
+        let mut bits = marker.dense_edges().expect("a dense edge window");
+        for &i in drawn {
+            bits.mark(i);
+        }
+        syn.fold_repeats(&mut bits);
+        let marked = (0..syn.n_conversations() as u32)
+            .filter(|&i| bits.is_marked(i))
+            .collect();
+        drop(marker);
+        (marked, scratch.undirected_degree_of_marks(syn))
+    }
+
+    #[test]
+    fn repeat_bits_flag_exactly_the_repeats_across_word_edges() {
+        let (syn, _) = word_edge_synthesizer();
         assert_eq!(syn.repeat_bits.len(), 3);
         let repeats: Vec<usize> = (0..130).filter(|&i| repeat_bit(&syn, i)).collect();
         assert_eq!(repeats, [63, 64, 129]);
@@ -1119,6 +1146,37 @@ mod tests {
         }
         // Past the last conversation, the last word holds no bit.
         assert_eq!(syn.repeat_bits[2] >> 2, 0);
+    }
+
+    #[test]
+    fn a_dense_window_folds_its_repeats_onto_their_edges_across_word_edges() {
+        let (syn, edges) = word_edge_synthesizer();
+        let first = first_over_edge(&edges);
+        let windows: [&[u32]; 8] = [
+            &[63],
+            &[64],
+            &[129],
+            &[63, 64, 129],
+            &[0, 63],
+            &[129, 128, 64, 65],
+            &[],
+            &[62, 63, 64, 127, 128, 129],
+        ];
+        for drawn in windows {
+            let mut edges_of: Vec<u32> = drawn.iter().map(|&i| first[i as usize]).collect();
+            edges_of.sort_unstable();
+            edges_of.dedup();
+            let packets = drawn.iter().map(|&i| edges[i as usize]);
+            let mut reference = DegreeScratch::new();
+            reference.key_pairs(palu_sparse::EdgeKeys::Undirected, packets);
+            // Exactly the drawn conversations' edges stay marked, by
+            // their canonical conversations: no repeat bit is left.
+            assert_eq!(
+                dense_window(&syn, drawn),
+                (edges_of, reference.undirected_degree_of_keys()),
+                "{drawn:?}"
+            );
+        }
     }
 
     #[test]

@@ -322,8 +322,10 @@ impl Pipeline {
     /// plants faults per its [`crate::fault::InjectionSpec`].
     ///
     /// **Durability (§4f).** With `journal` supplied every finished
-    /// window except an abort is appended as it completes, so a killed
-    /// process loses at most the windows in flight. With `recovery`
+    /// window except an abort is appended in window order, as soon as
+    /// every earlier window has finished, so a killed process loses at
+    /// most a few windows per worker, and the journal's bytes are the
+    /// same at any thread count. With `recovery`
     /// supplied (from [`Journal::resume`]) journaled windows are
     /// replayed byte-exactly instead of recomputed, so a resumed
     /// capture is bit-identical to an uninterrupted one at any thread
@@ -899,12 +901,14 @@ struct Capture<'a> {
 /// scoped worker per arena, at most one per window. Workers claim
 /// windows through an atomic cursor the moment they finish one, so an
 /// expensive window (retries, a stall, a fault plan) never idles the
-/// rest of the pool. Each worker journals a window as soon as it
-/// completes — except an aborted one, which a resume must recompute to
-/// reach the same verdict; append errors latch inside the journal for
-/// the caller. Results land in `slots` after the scope joins.
-/// Scheduling freedom is safe because each window's outcome is pure in
-/// `t` and the merge is strictly window-ordered.
+/// rest of the pool: a journaling capture lets a worker run up to
+/// [`RUN_AHEAD`] windows per worker past the first unfinished one while
+/// [`InOrder`] appends in window order. An aborted window is never
+/// journaled: a resume must recompute it to reach the same verdict.
+/// Append errors latch inside the journal for the caller. Results land
+/// in `slots` after the scope joins. Scheduling freedom is safe because
+/// each window's outcome is pure in `t` and the merge is strictly
+/// window-ordered.
 // lint:hot
 fn execute(
     capture: &Capture<'_>,
@@ -913,23 +917,32 @@ fn execute(
     slots: &mut [Option<WindowSlot>],
 ) {
     let cursor = std::sync::atomic::AtomicUsize::new(0);
+    let workers = arenas.len().min(batch.len());
+    let in_order = capture
+        .journal
+        .map(|journal| InOrder::new(journal, workers));
+    let order = in_order.as_ref();
     std::thread::scope(|s| {
         let handles: Vec<_> = arenas
             .iter_mut()
-            .take(batch.len())
+            .take(workers)
             .map(|arena| {
                 let cursor = &cursor;
                 s.spawn(move || {
+                    let _release = order.map(Release);
                     let mut out: Vec<(usize, WindowSlot)> = Vec::new();
                     loop {
                         let k = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         let Some(&b) = batch.get(k) else { break };
+                        if let Some(order) = order {
+                            order.admit(k);
+                        }
                         let t = capture.start_t + b as u64;
                         let computed = process_window(capture, t, arena);
-                        if let Some(j) = capture.journal {
-                            if computed.abort_fault.is_none() {
-                                let _ = j.append(&computed.to_entry(t));
-                            }
+                        if let Some(order) = order {
+                            let entry =
+                                computed.abort_fault.is_none().then(|| computed.to_entry(t));
+                            order.finish(k, entry);
                         }
                         out.push((b, computed));
                     }
@@ -946,6 +959,107 @@ fn execute(
             }
         }
     });
+}
+
+/// Windows per worker a journaling capture may start past the first
+/// unfinished window of its batch. One per worker made a worker that
+/// finished early wait for each slower window, and the wait and wake-up
+/// cost `narrow` (2 048 windows of 2 000 packets, 2 workers) 10 % of its
+/// throughput on a shared 2-vCPU host; at 16 it read as without a cap.
+const RUN_AHEAD: usize = 16;
+
+/// Appends one batch's finished windows to the journal in window order,
+/// so a capture's journal bytes do not depend on its thread count or on
+/// which worker finishes first. A window's record is held until every
+/// earlier window of the batch is appended, or skipped as aborted. A
+/// worker may start a window only while it lies fewer than `ahead`
+/// windows past the first unfinished one, so at most `ahead − 1`
+/// finished records are held, and a killed capture loses at most
+/// `ahead` windows.
+struct InOrder<'a> {
+    journal: &'a Journal,
+    /// [`RUN_AHEAD`] windows per worker.
+    ahead: usize,
+    frontier: std::sync::Mutex<Frontier>,
+    /// Signalled when the frontier moves.
+    moved: std::sync::Condvar,
+}
+
+/// The appended prefix of one batch and the records held past it.
+#[derive(Default)]
+struct Frontier {
+    /// Batch position of the first window not yet appended or skipped.
+    next: usize,
+    /// Finished windows past `next`: batch position and record, `None`
+    /// for an aborted window.
+    held: Vec<(usize, Option<WindowEntry>)>,
+    /// Set when a worker unwound: nothing more is appended, and no
+    /// worker waits.
+    broken: bool,
+}
+
+impl<'a> InOrder<'a> {
+    fn new(journal: &'a Journal, workers: usize) -> Self {
+        InOrder {
+            journal,
+            ahead: workers.max(1).saturating_mul(RUN_AHEAD),
+            frontier: std::sync::Mutex::new(Frontier::default()),
+            moved: std::sync::Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Frontier> {
+        self.frontier
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Wait until the window at batch position `k` may start. The first
+    /// unfinished window's worker never waits, so the frontier moves.
+    fn admit(&self, k: usize) {
+        let mut f = self.lock();
+        while !f.broken && k >= f.next + self.ahead {
+            f = self
+                .moved
+                .wait(f)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+
+    /// Hand over the finished window at batch position `k`, with its
+    /// record unless it aborted, and append every record the frontier
+    /// then passes.
+    fn finish(&self, k: usize, entry: Option<WindowEntry>) {
+        let mut f = self.lock();
+        if f.broken {
+            return;
+        }
+        f.held.push((k, entry));
+        while let Some(i) = f.held.iter().position(|&(p, _)| p == f.next) {
+            if let (_, Some(entry)) = f.held.swap_remove(i) {
+                // A failed append latches in the journal: the capture
+                // reports it as `PipelineError::Journal` after the batch.
+                let _ = self.journal.append(&entry);
+            }
+            f.next += 1;
+        }
+        drop(f);
+        self.moved.notify_all();
+    }
+}
+
+/// Held by each journaling worker: a worker that unwinds breaks its
+/// batch's [`InOrder`], so no other worker waits for the window it
+/// never finishes, and the panic reaches the join.
+struct Release<'r, 'a>(&'r InOrder<'a>);
+
+impl Drop for Release<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.lock().broken = true;
+            self.0.moved.notify_all();
+        }
+    }
 }
 
 /// Drive one window through its attempt loop and dispose of it per the

@@ -37,7 +37,7 @@ use palu_traffic::wire::{
 use palu_traffic::{
     request_lease, resume_zombie, run_worker, DispatchConfig, DispatchReport, DispatchServer,
     Dispatcher, FailurePolicy, FaultKind, FederationError, InjectionSpec, Injector, JournalHeader,
-    LeaseOffer, WorkPhase, WorkerConfig, WorkerReport,
+    LeaseOffer, WorkPhase, WorkerConfig, WorkerError, WorkerReport,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -188,7 +188,7 @@ fn serve_until_complete(
     gen: &PaluGenerator,
     cfg: &WorkerConfig,
     chaos: Option<WorkPhase>,
-) -> Result<WorkerReport, ServiceFault> {
+) -> Result<WorkerReport, WorkerError> {
     let mut obs = None;
     run_worker(
         cfg,
@@ -577,5 +577,59 @@ fn stop_handle_ends_run_without_a_connection_or_joining_live_sessions() {
     assert_eq!(report.shards_done, 0);
     assert_eq!(report.leases_granted, 1);
     drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_refused_capture_reaches_the_worker_caller_typed() {
+    use palu_traffic::{BudgetFault, Governor, PipelineError, ResourceBudget};
+    let gen = generator();
+    let dir = temp_dir("capture-refused");
+    let (addr, stop, handle) = start_dispatcher(dir.join("server"), 2, dispatch_config(true));
+    // A 1 KiB budget cannot admit any window: the leased capture is
+    // refused at admission, as the same capture by `shard` would be.
+    let budget = ResourceBudget::with_limit(1024);
+    let governor = Governor {
+        budget: &budget,
+        strict_admission: false,
+    };
+    let mut obs = None;
+    let refused = run_worker(
+        &worker_config(&addr, 0, &dir),
+        &WireInjector::new(WireSpec::none(), SEED),
+        None,
+        |ticket, journal, limit| {
+            let obs = obs.get_or_insert_with(|| observatory(&gen));
+            obs.seek(ticket.lo);
+            let n = usize::try_from(limit.unwrap_or(ticket.hi - ticket.lo))
+                .expect("window count fits usize");
+            Pipeline::pool_observatory_governed(
+                Measurement::UndirectedDegree,
+                obs,
+                n,
+                2,
+                None,
+                &policy(),
+                None,
+                Some(journal),
+                None,
+                Some(&governor),
+            )
+            .map(|_| ())
+            .map_err(FederationError::Pipeline)
+        },
+        |_| {},
+    );
+    assert!(
+        matches!(
+            &refused,
+            Err(WorkerError::Capture(FederationError::Pipeline(
+                PipelineError::Budget(BudgetFault::AdmissionRefused { .. })
+            )))
+        ),
+        "{refused:?}"
+    );
+    stop.store(true, Ordering::SeqCst);
+    join_within(handle, Duration::from_secs(2), "stopped dispatcher").expect("dispatcher reports");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -324,3 +324,86 @@ fn resume_is_bit_identical_after_mid_record_kills() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The journal bytes of one capture of `gen` under `policy` at
+/// `threads`, with the faults `spec` plants, and whether the capture
+/// succeeded.
+fn journal_bytes(
+    gen: &PaluGenerator,
+    dir: &std::path::Path,
+    policy: &FailurePolicy,
+    spec: InjectionSpec,
+    threads: usize,
+) -> (Vec<u8>, bool) {
+    let path = dir.join(format!("threads-{threads}.journal"));
+    let _ = std::fs::remove_file(&path);
+    let journal = Journal::create(&path, header()).expect("journal create");
+    let injector = Injector::new(spec, INJECT_SEED);
+    let captured = Pipeline::pool_observatory_durable(
+        Measurement::UndirectedDegree,
+        &mut observatory(gen),
+        WINDOWS,
+        threads,
+        None,
+        policy,
+        Some(&injector),
+        Some(&journal),
+        None,
+    );
+    drop(journal);
+    (
+        std::fs::read(&path).expect("journal readable"),
+        captured.is_ok(),
+    )
+}
+
+#[test]
+fn journal_bytes_are_identical_at_1_2_8_threads() {
+    let gen = generator();
+    let dir = temp_dir("thread-bytes");
+    // Records land in window order whichever worker finishes first:
+    // clean, recovered and quarantined windows under quarantine, around
+    // the aborted windows a strict policy never journals, and past
+    // windows that sleep 30 ms (no deadline is armed, so they succeed)
+    // while the other workers run as far ahead as they may.
+    let storms = InjectionSpec {
+        duplicate: 0.2,
+        ..InjectionSpec::none()
+    };
+    let stalls = InjectionSpec {
+        stall: 0.05,
+        ..InjectionSpec::none()
+    };
+    for (policy, spec, ok) in [
+        (FailurePolicy::quarantine(1), storms, true),
+        (FailurePolicy::strict(), storms, false),
+        (FailurePolicy::strict(), stalls, true),
+    ] {
+        let what = format!("{policy:?}, {spec:?}");
+        let (serial, captured) = journal_bytes(&gen, &dir, &policy, spec, 1);
+        assert_eq!(captured, ok, "{what}");
+        let records = record_boundaries(&serial).len() - 1;
+        assert!(ok == (records == WINDOWS), "{what}: {records} records");
+        for threads in [2, 8, 2, 8] {
+            let (bytes, _) = journal_bytes(&gen, &dir, &policy, spec, threads);
+            assert!(bytes == serial, "{what}: {threads} threads");
+        }
+    }
+    // A resumed capture appends the complement in window order too, so
+    // resuming at any thread count rewrites the uninterrupted bytes.
+    let (bytes, _) = reference_capture(&gen, &dir);
+    let boundaries = record_boundaries(&bytes);
+    let path = dir.join("resumed.journal");
+    for (k, threads) in [(1usize, 8usize), (17, 2), (40, 8)] {
+        std::fs::write(&path, &bytes[..boundaries[k]]).expect("write cut journal");
+        let (journal, recovery) = Journal::resume(&path, header()).expect("cut resumes");
+        run(&gen, threads, None, Some(&journal), Some(&recovery));
+        drop(journal);
+        let resumed = std::fs::read(&path).expect("journal readable");
+        assert!(
+            resumed == bytes,
+            "resume after record {k}, {threads} threads"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
