@@ -70,17 +70,23 @@ cargo test -q -p palu-suite --test journal_recovery \
 cargo run -q --release -p palu-bench --bin pipeline -- --gate
 test -s results/BENCH_pipeline.json
 
-echo "== experiment gates (directed, model_selection, fig4) =="
+echo "== experiment gates (every paper-result bin) =="
 # Each bin asserts its paper-shape gate and exits non-zero when it
-# fails: in/out-degree ZM α within 0.05 on every scenario (E-EXT3),
-# PALU winning the botnet-heavy scenario on AIC (E-EXT2), and the
-# best-r Equation 5 curve within its pooled distance of ZM (E-F4). All
-# three are deterministic, so the JSON snapshots they rewrite must stay
-# byte-identical to the committed ones.
-cargo run -q --release -p palu-bench --bin directed
-cargo run -q --release -p palu-bench --bin model_selection
-cargo run -q --release -p palu-bench --bin fig4 >/dev/null
-snapshots=(results/directed.json results/model_selection.json results/fig4.json)
+# fails: among them, in/out-degree ZM α within 0.05 on every scenario
+# (E-EXT3), PALU winning the botnet-heavy scenario on AIC (E-EXT2), the
+# best-r Equation 5 curve within its pooled distance of ZM (E-F4), the
+# two Table I notations agreeing (E-T1), the botnet panel as the worst
+# ZM fit with PALU beating it (E-F3), and the Sec. IV counts, recovery
+# and invariance gates (E-A1–E-A3). All eleven are deterministic, so
+# the JSON snapshots they rewrite must stay byte-identical to the
+# committed ones.
+experiments=(table1 fig1 fig2 fig3 fig4 components invariance recover
+    validate_analytic directed model_selection)
+snapshots=()
+for exp in "${experiments[@]}"; do
+    cargo run -q --release -p palu-bench --bin "$exp" >/dev/null
+    snapshots+=("results/$exp.json")
+done
 if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
     git diff --exit-code -- "${snapshots[@]}" || {
         echo "ci: a deterministic snapshot no longer matches the committed one" >&2

@@ -7,10 +7,13 @@
 //! is botnet-heavy traffic where the ZM fit visibly degrades (the
 //! paper's upper-right panel); the same panel fit with the PALU curve
 //! (Equation 5) shows the hybrid model explains the deviation.
+//!
+//! `results/fig3.json` holds only the deterministic fit fields, so a
+//! rerun rewrites it byte for byte; the capture's thread count, wall
+//! and stage times go to stdout.
 
 use palu::zm_fit::{FitObjective, ZmFitter};
 use palu_bench::{fmt_p, record_json, rule, Scenario};
-use palu_cli::commands::metrics_json;
 use palu_cli::json::JsonValue;
 use palu_traffic::metrics::Metrics;
 use palu_traffic::pipeline::{default_threads, Measurement, Pipeline};
@@ -229,12 +232,6 @@ fn main() {
             ("zm_residual", p.zm_residual.into()),
             ("palu_residual", p.palu_residual.into()),
             ("botnet_heavy", p.botnet_heavy.into()),
-            ("pipeline_metrics", metrics_json(&p.metrics)),
-            ("pipeline_wall_s", p.wall_s.into()),
-            (
-                "pipeline_speedup",
-                (p.metrics.total_ns() as f64 / 1e9 / p.wall_s.max(1e-9)).into(),
-            ),
         ])
     }));
     record_json("fig3", &snapshot);

@@ -283,33 +283,6 @@ pub fn ascii_loglog(series: &[(&str, &palu_stats::logbin::DifferentialCumulative
     out
 }
 
-/// A per-process scratch directory, `$TMPDIR/<name>-<pid>`, removed
-/// when dropped (on a panic too), so concurrent runs of one binary
-/// never share journals.
-pub struct ScratchDir(PathBuf);
-
-impl ScratchDir {
-    /// Create the directory for this process, emptying any leftover of
-    /// an earlier process that had the same pid.
-    pub fn new(name: &str) -> std::io::Result<ScratchDir> {
-        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir)?;
-        Ok(ScratchDir(dir))
-    }
-
-    /// The directory's path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 /// The `results/` directory at the workspace root (falls back to the
 /// current directory when the workspace root cannot be located).
 pub fn results_dir() -> PathBuf {

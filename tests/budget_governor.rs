@@ -14,7 +14,10 @@
 //!    a typed fault before the observatory advances.
 //! 3. **Deterministic degradation** — one tight budget yields the
 //!    same degradation events and the same pooled bits at 1, 2, and
-//!    8 threads, run after run; the events themselves are pinned.
+//!    8 threads, run after run; the events themselves are pinned. At
+//!    8 threads a curve of shrinking limits, from ¾ of the ample
+//!    ledger peak down to the floor plus one window, keeps every
+//!    ledger peak under its limit and every pooled bit.
 //! 4. **The ladder under ballast** — seeded ballast injection drives
 //!    every rung in engagement order without corrupting the output.
 //! 5. **Governed resume** — replaying a journal under a tight budget
@@ -275,6 +278,34 @@ fn tight_budget_degrades_identically_at_every_thread_count() {
             .collect();
         assert_eq!(again_events, events, "degradations differ on rerun");
         assert_eq!(budget2.peak(), budget.peak(), "peaks differ on rerun");
+    }
+
+    // The degradation curve at 8 threads: hard limits of ¾ and ½ of
+    // the ample budget's ledger peak, then the degraded floor plus one
+    // window. Each limit keeps the ledger under it and the output bits.
+    let ample = ResourceBudget::with_limit(1 << 40);
+    let gov = Governor {
+        budget: &ample,
+        strict_admission: false,
+    };
+    run(&gen, 8, Some(&gov), None, None).expect("ample capture");
+    let model = cost_model(&gen, N_V, WINDOWS, 8);
+    let floor = model.floor_bytes() + model.window_bytes();
+    let peak = ample.peak().max(floor);
+    for limit in [peak * 3 / 4, peak / 2, floor] {
+        let limit = limit.max(floor);
+        let budget = ResourceBudget::with_limit(limit);
+        let gov = Governor {
+            budget: &budget,
+            strict_admission: false,
+        };
+        let pool = run(&gen, 8, Some(&gov), None, None).expect("degraded capture");
+        assert_bit_identical(&pool, &baseline, &format!("{limit} B limit vs baseline"));
+        assert!(
+            budget.peak() <= limit,
+            "ledger peak {} overran the {limit} B limit",
+            budget.peak()
+        );
     }
 }
 

@@ -11,7 +11,8 @@
 //!    (journal truncated mid-record, the SIGKILL signature) resumes
 //!    through the ordinary journal machinery, and the merge of the
 //!    healed shards is still bit-identical; alternatively the merge
-//!    itself re-captures a lost shard's windows deterministically.
+//!    itself re-captures the windows of a torn or lost shard journal
+//!    deterministically.
 //! 3. **Quarantine boundaries are exact** — a merge exactly at
 //!    `min_coverage` passes, one window below refuses with the typed
 //!    survivor count, and a corrupted shard quarantines exactly its
@@ -234,10 +235,27 @@ fn killed_shard_resumes_and_merge_stays_bit_identical() {
         .iter()
         .any(|f| matches!(f, ShardFault::RangeGap { shard: 1, .. })));
 
+    // …a re-capturing merge heals the torn journal in-merge, recomputing
+    // only the windows lost with its tail (the scan is read-only, so
+    // the journal is left for the resume below)…
+    let plan = ShardPlan::new(WINDOWS as u64, 3).unwrap();
+    let victim_windows = plan.shard_range(1).unwrap().window_count();
+    let mut obs = observatory(&gen);
+    let recaptured = merge(&paths, 1.0, Some(&mut obs)).expect("re-capturing merge");
+    assert_bit_identical(
+        &recaptured.pool,
+        &reference,
+        "re-captured torn shard vs single-process",
+    );
+    let redone = recaptured.federation.recaptured;
+    assert!(
+        redone > 0 && redone <= victim_windows,
+        "the tear costs some of shard 1's {victim_windows} windows, not {redone}"
+    );
+
     // …then the shard process restarts with --resume: the ordinary
     // journal recovery replays the intact prefix and re-captures only
     // the complement of its own range.
-    let plan = ShardPlan::new(WINDOWS as u64, 3).unwrap();
     let (journal, recovery) = Journal::resume(victim, header()).expect("shard resume");
     let mut obs = observatory(&gen);
     capture_shard(
