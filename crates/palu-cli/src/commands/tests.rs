@@ -538,6 +538,36 @@ fn gof_reports_on_palu_traffic() {
     assert!(text.contains("vuong test"));
 }
 
+/// `gof --boot` output pinned for two seeds on a small observed
+/// histogram (a 4080-node PALU network at α = 2.2, observed at
+/// p = 0.5), as the ζ-per-draw tail sampler wrote it. A faster
+/// bootstrap sampler must keep these bytes.
+#[test]
+fn gof_bootstrap_output_is_pinned() {
+    const OBSERVED: &str = "1 1911\n2 228\n3 81\n4 42\n5 15\n6 13\n7 10\n8 5\n9 7\n10 5\n\
+                            11 5\n12 2\n13 1\n14 2\n15 2\n16 3\n17 1\n20 2\n21 2\n23 2\n\
+                            24 1\n28 1\n31 1\n37 1\n49 1\n60 1\n";
+    const FIT: &str = "csn fit: alpha = 2.5088, x_min = 2, KS = 0.01470 (n_tail = 434, \
+                       primary rung)\n";
+    const VUONG: &str =
+        "vuong test vs lognormal (x_min = 2): z = -0.24, p = 0.809 -> inconclusive\n";
+    let hist = tmp("gof_pin_hist.txt");
+    std::fs::write(&hist, OBSERVED).unwrap();
+    for (seed, p) in [(1, "0.660"), (2, "0.500")] {
+        let out = tmp(&format!("gof_pin_{seed}.txt"));
+        cli(&format!(
+            "gof --in {} --boot 50 --seed {seed} --out {}",
+            hist.display(),
+            out.display()
+        ))
+        .unwrap();
+        let expected = format!(
+            "{FIT}goodness of fit: p = {p} over 50 replicates (power law plausible)\n{VUONG}"
+        );
+        assert_eq!(read(&out), expected, "seed {seed}");
+    }
+}
+
 #[test]
 fn pool_streams_a_trace_file() {
     let trace = tmp("pool_trace.txt");
