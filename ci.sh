@@ -117,6 +117,13 @@ for rate in 0 0.05 0.5; do
     quarantined=$(grep -A 10 '"fault_report"' "$smoke_dir/fault_$rate.json" \
         | grep '"quarantined"' | head -1 | tr -dc '0-9')
     echo "rate $rate: quarantined $quarantined window(s)"
+    # Set-up (network drawn, synthesizer built) is timed next to the
+    # capture wall-time, so an operator can see where the rest went.
+    setup_ns=$(grep '"setup_ns"' "$smoke_dir/fault_$rate.json" | tr -dc '0-9')
+    if [ -z "$setup_ns" ] || [ "$setup_ns" -le 0 ]; then
+        echo "ci: simulate --metrics has no positive setup_ns" >&2
+        exit 1
+    fi
     if [ "$rate" = 0 ] && [ "$quarantined" != 0 ]; then
         echo "ci: unexpected quarantine with injection disabled" >&2
         exit 1

@@ -184,20 +184,26 @@ impl SimCapture {
     }
 
     /// Draw `gen`'s network and build the observatory (PALU network +
-    /// packet synthesizer) over it.
-    pub(super) fn observatory_of(&self, gen: &palu_graph::palu_gen::PaluGenerator) -> Observatory {
+    /// packet synthesizer) over it, timed as `metrics`' set-up.
+    pub(super) fn observatory_of(
+        &self,
+        gen: &palu_graph::palu_gen::PaluGenerator,
+        metrics: &Metrics,
+    ) -> Observatory {
         use palu_traffic::observatory::ObservatoryConfig;
         use palu_traffic::packets::EdgeIntensity;
-        Observatory::new(
-            ObservatoryConfig {
-                name: "cli".into(),
-                date: String::new(),
-                n_v: self.n_v,
-            },
-            gen,
-            EdgeIntensity::Uniform,
-            self.seed,
-        )
+        metrics.time_setup(|| {
+            Observatory::new(
+                ObservatoryConfig {
+                    name: "cli".into(),
+                    date: String::new(),
+                    n_v: self.n_v,
+                },
+                gen,
+                EdgeIntensity::Uniform,
+                self.seed,
+            )
+        })
     }
 
     /// Capture windows `lo..lo + n` under this capture's policy,
@@ -312,7 +318,8 @@ pub(super) fn simulate(args: &ParsedArgs, sharded: bool) -> Result<(), CliError>
         Some(path) => Some(open_journal(path, sc.header(), resume, local)?),
         None => None,
     };
-    let mut obs = sc.observatory_of(&gen);
+    let metrics = Metrics::new();
+    let mut obs = sc.observatory_of(&gen, &metrics);
     if sharded {
         eprintln!(
             "shard {shard}/{shards} up: windows [{}, {}) of {} × {} packets on {threads} threads",
@@ -338,7 +345,6 @@ pub(super) fn simulate(args: &ParsedArgs, sharded: bool) -> Result<(), CliError>
             }
         );
     }
-    let metrics = Metrics::new();
     let mut ft = sc
         .capture(
             &mut obs,
@@ -416,10 +422,12 @@ pub(super) fn simulate(args: &ParsedArgs, sharded: bool) -> Result<(), CliError>
     })?;
     if let Some(path) = written {
         eprintln!(
-            "metrics: {} packets in {:.1} ms of stage time across {} threads → {path}",
+            "metrics: {} packets in {:.1} ms of stage time across {} threads, after {:.1} ms \
+             of set-up → {path}",
             snap.packets,
             snap.total_ns() as f64 / 1e6,
-            snap.threads
+            snap.threads,
+            snap.setup_ns as f64 / 1e6
         );
     }
     if let Some(path) = journal_path.filter(|_| sharded) {
@@ -453,8 +461,9 @@ pub(super) fn pool_merge(args: &ParsedArgs) -> Result<(), CliError> {
     let min_coverage = min_coverage(args)?;
     let threads = sc.threads(args, sc.n_windows)?;
     let recapture = args.options.contains_key("recapture");
+    let metrics = Metrics::new();
     let mut obs = if recapture {
-        Some(sc.observatory_of(&sc.generator()?))
+        Some(sc.observatory_of(&sc.generator()?, &metrics))
     } else {
         None
     };
@@ -464,7 +473,6 @@ pub(super) fn pool_merge(args: &ParsedArgs) -> Result<(), CliError> {
         sc.n_windows,
         if recapture { ", re-capturing gaps" } else { "" }
     );
-    let metrics = Metrics::new();
     let merged = merge_shard_journals(
         Measurement::UndirectedDegree,
         &sc.header(),

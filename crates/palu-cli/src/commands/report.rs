@@ -7,14 +7,16 @@ use crate::json::JsonValue;
 use palu_traffic::{FaultReport, MetricsSnapshot};
 
 /// Serialize a pipeline metrics snapshot as a JSON object: per-stage
-/// wall-times in nanoseconds plus packet/window/thread counters.
-/// Shared by `simulate --metrics` and the palu-bench binaries.
+/// wall-times in nanoseconds, the capture and set-up wall-times, plus
+/// packet/window/thread counters. Shared by `simulate --metrics` and
+/// the palu-bench binaries.
 pub fn metrics_json(snap: &MetricsSnapshot) -> JsonValue {
     let stages = JsonValue::obj(snap.stages().iter().map(|&(name, ns)| (name, ns.into())));
     JsonValue::obj([
         ("stage_ns", stages),
         ("total_stage_ns", snap.total_ns().into()),
         ("capture_wall_ns", snap.capture_wall_ns.into()),
+        ("setup_ns", snap.setup_ns.into()),
         ("packets", snap.packets.into()),
         ("packets_per_sec", snap.packets_per_sec().into()),
         ("windows", snap.windows.into()),
@@ -365,6 +367,7 @@ stage_ns
   merge
 total_stage_ns
 capture_wall_ns
+setup_ns
 packets
 packets_per_sec
 windows

@@ -346,7 +346,15 @@ pub(super) fn work(args: &ParsedArgs) -> Result<(), CliError> {
         &injector,
         chaos,
         |ticket, journal, limit| {
-            let obs = obs.get_or_insert_with(|| sc.observatory_of(&gen));
+            let obs = obs.get_or_insert_with(|| {
+                let setup = palu_traffic::Metrics::new();
+                let obs = sc.observatory_of(&gen, &setup);
+                eprintln!(
+                    "work: network drawn and synthesizer built in {:.1} ms",
+                    setup.snapshot().setup_ns as f64 / 1e6
+                );
+                obs
+            });
             let n = usize::try_from(limit.unwrap_or(ticket.hi - ticket.lo)).map_err(|_| {
                 FederationError::BadPlan {
                     windows: ticket.windows,

@@ -113,12 +113,7 @@ impl PowerLawConfigModel {
             total.is_multiple_of(2),
             "degree sequence must have even sum"
         );
-        let mut stubs: Vec<NodeId> = Vec::with_capacity(total as usize);
-        for (node, &d) in degrees.iter().enumerate() {
-            for _ in 0..d {
-                stubs.push(node as NodeId);
-            }
-        }
+        let mut stubs = stub_pool(degrees);
         stubs.shuffle(rng);
 
         let mut g = Graph::with_capacity(degrees.len() as NodeId, stubs.len() / 2);
@@ -141,6 +136,16 @@ impl PowerLawConfigModel {
         }
         g
     }
+}
+
+/// The stub pool of a degree sequence: node `i` repeated `degrees[i]`
+/// times, in node order.
+pub(crate) fn stub_pool(degrees: &[u64]) -> Vec<NodeId> {
+    let mut stubs = Vec::with_capacity(degrees.iter().sum::<u64>() as usize);
+    for (node, &d) in degrees.iter().enumerate() {
+        stubs.extend(std::iter::repeat_n(node as NodeId, d as usize));
+    }
+    stubs
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! exponent `α` and star rate `λ`, and produces a role-annotated graph.
 
 use crate::graph::Graph;
+use crate::models::config_model::stub_pool;
 use crate::models::{BarabasiAlbert, PoissonStars, PowerLawConfigModel};
 use crate::NodeId;
 use palu_stats::error::StatsError;
@@ -168,20 +169,15 @@ impl PaluGenerator {
         &self,
         rng: &mut R,
     ) -> Result<UnderlyingNetwork, StatsError> {
-        // 1. Core (plus reserved leaf anchors where applicable).
-        let (core, reserved_anchors): (Graph, Option<Vec<NodeId>>) =
+        // 1. Core (plus reserved leaf anchors where applicable), and
+        // its largest degree.
+        let (core, reserved_anchors, core_max): (Graph, Option<Vec<NodeId>>, u64) =
             match (self.core_generator, self.leaf_attachment) {
                 (CoreGenerator::ConfigModel, LeafAttachment::Preferential) => {
                     let m = PowerLawConfigModel::new(self.n_core, self.alpha)?;
-                    let degrees = m.sample_degrees(rng);
+                    let mut degrees = m.sample_degrees(rng);
                     // Build the stub pool and reserve leaf anchors.
-                    let total_stubs: u64 = degrees.iter().sum();
-                    let mut stubs: Vec<NodeId> = Vec::with_capacity(total_stubs as usize);
-                    for (node, &d) in degrees.iter().enumerate() {
-                        for _ in 0..d {
-                            stubs.push(node as NodeId);
-                        }
-                    }
+                    let mut stubs = stub_pool(&degrees);
                     use palu_stats::rng::SliceRandom;
                     stubs.shuffle(rng);
                     let reserve = (self.n_leaves as usize).min(stubs.len().saturating_sub(2));
@@ -200,26 +196,44 @@ impl PaluGenerator {
                     // thinning-based estimate, worst at small p.
                     // Traffic networks carry parallel edges naturally
                     // (they are link weights).
+                    //
+                    // A node's core degree is its stub count less its
+                    // reserved anchors and twice its dropped self-loops,
+                    // so the largest one takes a pass over the anchors
+                    // and loops rather than a count over every edge.
                     let mut g = Graph::with_capacity(self.n_core, stubs.len() / 2);
                     for pair in stubs.chunks_exact(2) {
                         let (u, v) = (pair[0], pair[1]);
                         if u == v {
+                            if let Some(d) = degrees.get_mut(u as usize) {
+                                *d -= 2;
+                            }
                             continue;
                         }
                         g.add_edge(u, v);
                     }
-                    (g, Some(anchors))
+                    for &a in &anchors {
+                        if let Some(d) = degrees.get_mut(a as usize) {
+                            *d -= 1;
+                        }
+                    }
+                    let core_max = degrees.iter().copied().max().unwrap_or(0);
+                    (g, Some(anchors), core_max)
                 }
                 (CoreGenerator::ConfigModel, LeafAttachment::Uniform) => {
                     let m = PowerLawConfigModel::new(self.n_core, self.alpha)?;
-                    (m.generate(rng), None)
+                    let g = m.generate(rng);
+                    let core_max = max_degree(&g);
+                    (g, None, core_max)
                 }
                 (CoreGenerator::BarabasiAlbert { m }, _) => {
                     // Target the requested exponent via the kernel shift
                     // α = 3 + a/m  ⇒  a = m(α − 3), clamped above −m.
                     let shift = (m as f64 * (self.alpha - 3.0)).max(-(m as f64) + 1e-6);
                     let ba = BarabasiAlbert::with_shift(self.n_core, m, shift)?;
-                    (ba.generate(rng), None)
+                    let g = ba.generate(rng);
+                    let core_max = max_degree(&g);
+                    (g, None, core_max)
                 }
             };
 
@@ -230,7 +244,6 @@ impl PaluGenerator {
         let mut roles = vec![NodeRole::Core; self.n_core as usize];
 
         // 2. Leaves anchored to the core.
-        let core_degrees = core.degrees();
         let first_leaf = graph.n_nodes();
         for i in 0..self.n_leaves {
             let anchor = match (&reserved_anchors, self.leaf_attachment) {
@@ -277,7 +290,7 @@ impl PaluGenerator {
         Ok(UnderlyingNetwork {
             graph,
             roles,
-            core_supernode_degree: core_degrees.iter().copied().max().unwrap_or(0),
+            core_supernode_degree: core_max,
             isolated_star_centers: stars
                 .isolated_centers
                 .iter()
@@ -285,6 +298,11 @@ impl PaluGenerator {
                 .collect(),
         })
     }
+}
+
+/// The largest node degree of `g` (0 when it has no nodes).
+fn max_degree(g: &Graph) -> u64 {
+    g.degrees().into_iter().max().unwrap_or(0)
 }
 
 /// A generated underlying network with role bookkeeping.
@@ -528,6 +546,50 @@ mod tests {
         assert!(bad
             .try_generate(&mut Xoshiro256pp::seed_from_u64(9))
             .is_err());
+    }
+
+    /// The supernode degree is the largest degree over the core's own
+    /// edges (both ends in the core), for every core and leaf strategy —
+    /// including tiny cores whose leaves outnumber their stubs.
+    #[test]
+    fn core_supernode_degree_is_the_largest_core_degree() {
+        let strategies = [
+            (CoreGenerator::ConfigModel, LeafAttachment::Preferential),
+            (CoreGenerator::ConfigModel, LeafAttachment::Uniform),
+            (
+                CoreGenerator::BarabasiAlbert { m: 2 },
+                LeafAttachment::Preferential,
+            ),
+        ];
+        for (seed, (alpha, n_core, n_leaves)) in [
+            (1.5, 3_000, 800),
+            (2.0, 3_000, 800),
+            (2.6, 3_000, 800),
+            (2.0, 4, 50),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for (core, leaves) in strategies {
+                let net = PaluGenerator::new(n_core, n_leaves, 100, alpha, 2.0)
+                    .unwrap()
+                    .with_core_generator(core)
+                    .with_leaf_attachment(leaves)
+                    .generate(&mut Xoshiro256pp::seed_from_u64(seed as u64));
+                let mut degs = vec![0u64; n_core as usize];
+                for &(u, v) in net.graph.edges() {
+                    if u < n_core && v < n_core {
+                        degs[u as usize] += 1;
+                        degs[v as usize] += 1;
+                    }
+                }
+                let max = degs.into_iter().max().unwrap();
+                assert_eq!(
+                    net.core_supernode_degree, max,
+                    "α {alpha}, {core:?}/{leaves:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,74 @@ use crate::Result;
 pub struct Zeta {
     alpha: f64,
     zeta_alpha: f64,
+    devroye: Devroye,
+}
+
+/// Draws below this value read their acceptance term from a table.
+const TABLED: usize = 64;
+
+/// The loop invariants of Devroye's zeta draw, each computed once by
+/// the same expression the draw would otherwise evaluate, so every
+/// draw computes the same `f64`s and makes the same decisions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Devroye {
+    /// `α − 1`.
+    am1: f64,
+    /// The inversion exponent `−1/(α − 1)`.
+    inv_exp: f64,
+    /// `b = 2^(α−1)`.
+    b: f64,
+    /// The acceptance term `t(x) = (1 + 1/x)^(α−1)` for `x < TABLED`
+    /// (index 0 unused).
+    t: [f64; TABLED],
+}
+
+impl Devroye {
+    fn new(alpha: f64) -> Self {
+        let am1 = alpha - 1.0;
+        let mut t = [0.0; TABLED];
+        for (x, t) in t.iter_mut().enumerate().skip(1) {
+            *t = (1.0 + 1.0 / x as f64).powf(am1);
+        }
+        Devroye {
+            am1,
+            inv_exp: -1.0 / am1,
+            b: 2f64.powf(am1),
+            t,
+        }
+    }
+
+    /// Devroye (1986), Non-Uniform Random Variate Generation, X.6.1:
+    /// exact rejection for the zeta distribution, conditioned on
+    /// `x ≤ d_max` by rejecting larger draws and drawing afresh. Each
+    /// iteration reads `u` then `v`, so a draw above `d_max` skips only
+    /// arithmetic: the acceptance test it skips could only have led to
+    /// the same fresh `(u, v)`.
+    #[inline]
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R, d_max: u64) -> u64 {
+        loop {
+            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+            let v: f64 = rng.gen();
+            let x = u.powf(self.inv_exp).floor();
+            if x < 1.0 || !x.is_finite() {
+                // x < 1 cannot occur mathematically (u ≤ 1 ⇒ x ≥ 1) but
+                // guard FP edge cases; non-finite x means u was at the
+                // smallest subnormal — resample.
+                continue;
+            }
+            let k = x as u64;
+            if k > d_max {
+                continue;
+            }
+            let t = match self.t.get(k as usize) {
+                Some(&t) => t,
+                None => (1.0 + 1.0 / x).powf(self.am1),
+            };
+            if v * x * (t - 1.0) / (self.b - 1.0) <= t / self.b {
+                return k;
+            }
+        }
+    }
 }
 
 impl Zeta {
@@ -39,6 +107,7 @@ impl Zeta {
         Ok(Zeta {
             alpha,
             zeta_alpha: riemann_zeta(alpha)?,
+            devroye: Devroye::new(alpha),
         })
     }
 
@@ -90,25 +159,7 @@ impl DiscreteDistribution for Zeta {
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        // Devroye (1986), Non-Uniform Random Variate Generation, X.6.1:
-        // exact rejection for the zeta distribution.
-        let am1 = self.alpha - 1.0;
-        let b = 2f64.powf(am1);
-        loop {
-            let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-            let v: f64 = rng.gen();
-            let x = u.powf(-1.0 / am1).floor();
-            if x < 1.0 || !x.is_finite() {
-                // x < 1 cannot occur mathematically (u ≤ 1 ⇒ x ≥ 1) but
-                // guard FP edge cases; non-finite x means u was at the
-                // smallest subnormal — resample.
-                continue;
-            }
-            let t = (1.0 + 1.0 / x).powf(am1);
-            if v * x * (t - 1.0) / (b - 1.0) <= t / b {
-                return x as u64;
-            }
-        }
+        self.devroye.draw(rng, u64::MAX)
     }
 }
 
@@ -120,7 +171,9 @@ impl DiscreteDistribution for Zeta {
 /// normalized model probabilities are truncated sums.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TruncatedZeta {
-    alpha: f64,
+    /// The untruncated law, whose sampler the truncated draw rejects
+    /// from.
+    zeta: Zeta,
     d_max: u64,
     normalizer: f64,
     /// Probability mass the truncation removed from the untruncated law.
@@ -148,9 +201,10 @@ impl TruncatedZeta {
             ));
         }
         let normalizer = harmonic_partial(d_max, alpha);
-        let total = riemann_zeta(alpha)?;
+        let zeta = Zeta::new(alpha)?;
+        let total = zeta.zeta_alpha;
         Ok(TruncatedZeta {
-            alpha,
+            zeta,
             d_max,
             normalizer,
             tail_mass: (total - normalizer) / total,
@@ -159,7 +213,7 @@ impl TruncatedZeta {
 
     /// The power-law exponent `α`.
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.zeta.alpha
     }
 
     /// The truncation point `d_max`.
@@ -175,7 +229,7 @@ impl TruncatedZeta {
 
     /// Expected value `Σ d·pmf(d)`, always finite under truncation.
     pub fn mean_truncated(&self) -> f64 {
-        harmonic_partial(self.d_max, self.alpha - 1.0) / self.normalizer
+        harmonic_partial(self.d_max, self.zeta.alpha - 1.0) / self.normalizer
     }
 }
 
@@ -184,7 +238,7 @@ impl DiscreteDistribution for TruncatedZeta {
         if k == 0 || k > self.d_max {
             return 0.0;
         }
-        (k as f64).powf(-self.alpha) / self.normalizer
+        (k as f64).powf(-self.zeta.alpha) / self.normalizer
     }
 
     fn cdf(&self, k: u64) -> f64 {
@@ -194,7 +248,7 @@ impl DiscreteDistribution for TruncatedZeta {
         if k >= self.d_max {
             return 1.0;
         }
-        harmonic_partial(k, self.alpha) / self.normalizer
+        harmonic_partial(k, self.zeta.alpha) / self.normalizer
     }
 
     fn mean(&self) -> f64 {
@@ -203,7 +257,7 @@ impl DiscreteDistribution for TruncatedZeta {
 
     fn variance(&self) -> f64 {
         let m1 = self.mean_truncated();
-        let m2 = harmonic_partial(self.d_max, self.alpha - 2.0) / self.normalizer;
+        let m2 = harmonic_partial(self.d_max, self.zeta.alpha - 2.0) / self.normalizer;
         m2 - m1 * m1
     }
 
@@ -211,16 +265,7 @@ impl DiscreteDistribution for TruncatedZeta {
         // Rejection from the untruncated zeta sampler; acceptance
         // probability is 1 − tail_mass, which is ≈ 1 for any realistic
         // d_max (the zeta tail above d_max carries d_max^{1-α} mass).
-        let untruncated = Zeta {
-            alpha: self.alpha,
-            zeta_alpha: riemann_zeta(self.alpha).expect("validated alpha"),
-        };
-        loop {
-            let x = untruncated.sample(rng);
-            if x <= self.d_max {
-                return x;
-            }
-        }
+        self.zeta.devroye.draw(rng, self.d_max)
     }
 }
 

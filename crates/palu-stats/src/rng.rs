@@ -192,16 +192,23 @@ impl Standard for f32 {
 }
 
 /// Uniform in `[0, n)` by Lemire's widening-multiply method with
-/// rejection — exact (no modulo bias) and branch-light.
+/// rejection — exact (no modulo bias) and nearly divisionless.
+///
+/// A word is rejected when the product's low half falls below
+/// `2^64 mod n`. That threshold is below `n`, so a low half of at
+/// least `n` is accepted without computing it: the remainder is taken
+/// only on the rare draw that could be rejected, and every accept and
+/// reject is the one the threshold test makes.
 fn bounded_u64<R: Rng + ?Sized>(rng: &mut R, n: u64) -> u64 {
     debug_assert!(n > 0);
-    let threshold = n.wrapping_neg() % n;
-    loop {
-        let m = u128::from(rng.next_u64()) * u128::from(n);
-        if m as u64 >= threshold {
-            return (m >> 64) as u64;
+    let mut m = u128::from(rng.next_u64()) * u128::from(n);
+    if (m as u64) < n {
+        let threshold = n.wrapping_neg() % n;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(n);
         }
     }
+    (m >> 64) as u64
 }
 
 /// Integer types usable with [`Rng::gen_range`].

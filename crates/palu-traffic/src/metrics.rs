@@ -125,6 +125,7 @@ pub struct Metrics {
     budget_degradations: PaddedU64,
     admission_estimate_bytes: PaddedU64,
     capture_wall_ns: PaddedU64,
+    setup_ns: PaddedU64,
     leases_granted: PaddedU64,
     leases_expired: PaddedU64,
     leases_fenced: PaddedU64,
@@ -220,6 +221,17 @@ impl Metrics {
         self.capture_wall_ns.add(ns);
     }
 
+    /// Run `f`, adding its elapsed wall-time to the set-up time: what a
+    /// process spends drawing its network and building the packet
+    /// synthesizer before it captures anything.
+    pub fn time_setup<T>(&self, f: impl FnOnce() -> T) -> T {
+        // Observability only, like `time`. lint:allow(R2)
+        let start = std::time::Instant::now();
+        let out = f();
+        self.setup_ns.add(elapsed_ns(start));
+        out
+    }
+
     /// Count `n` granted leases (dispatcher).
     pub fn add_leases_granted(&self, n: u64) {
         self.leases_granted.add(n);
@@ -268,6 +280,7 @@ impl Metrics {
             budget_degradations: self.budget_degradations.load(),
             admission_estimate_bytes: self.admission_estimate_bytes.load(),
             capture_wall_ns: self.capture_wall_ns.load(),
+            setup_ns: self.setup_ns.load(),
             leases_granted: self.leases_granted.load(),
             leases_expired: self.leases_expired.load(),
             leases_fenced: self.leases_fenced.load(),
@@ -333,6 +346,10 @@ pub struct MetricsSnapshot {
     /// through merge finished, *not* summed across threads. Accumulates
     /// across captures sharing one `Metrics`.
     pub capture_wall_ns: u64,
+    /// Elapsed set-up wall-time (ns) timed by [`Metrics::time_setup`]:
+    /// network drawn and synthesizer built, before (and not part of)
+    /// the capture wall-time. 0 when the process drew no network.
+    pub setup_ns: u64,
     /// Leases granted by the dispatcher.
     pub leases_granted: u64,
     /// Leases whose deadline elapsed without completion.
@@ -437,6 +454,20 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.capture_wall_ns, 500_000_000);
         assert!((s.packets_per_sec() - 2_000_000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn set_up_time_accumulates_apart_from_capture_time() {
+        let m = Metrics::new();
+        let v = m.time_setup(|| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            7
+        });
+        assert_eq!(v, 7);
+        let s = m.snapshot();
+        assert!(s.setup_ns >= 2_000_000, "{}", s.setup_ns);
+        assert_eq!(s.capture_wall_ns, 0);
+        assert_eq!(s.total_ns(), 0);
     }
 
     #[test]
