@@ -619,6 +619,32 @@ fn run_fed_shard(tag: &str, shard: usize, shards: usize) -> PathBuf {
     journal
 }
 
+/// Every record of a journal carries a CRC32 of its payload and every
+/// window record a histogram, so pinning a whole journal's bytes pins
+/// the checksum and the histogram build behind each record. The digest
+/// is FNV-1a-64, not CRC32, so a wrong CRC cannot vouch for itself.
+#[test]
+fn seed_1_shard_journal_bytes_are_pinned() {
+    let journal = tmp("pinned_seed1_shard.journal");
+    let _ = std::fs::remove_file(&journal);
+    cli(&format!(
+        "shard --core 0.5 --leaves 0.2 --lambda 2.0 --alpha 2.0 --nodes 20000 --nv 50000 \
+         --windows 4 --seed 1 --shard-index 0 --shards 1 --journal {}",
+        journal.display()
+    ))
+    .unwrap();
+    let bytes = std::fs::read(&journal).unwrap();
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (bytes.len(), digest),
+        (8_068, 0x0255_2658_0dc2_79f0),
+        "journal length and FNV-1a-64 digest"
+    );
+    let _ = std::fs::remove_file(&journal);
+}
+
 #[test]
 fn shard_then_merge_matches_simulate_byte_for_byte() {
     // Single-process reference.

@@ -98,6 +98,32 @@ impl DegreeHistogram {
         h
     }
 
+    /// Build from `(degree, count)` pairs in **strictly increasing**
+    /// degree order, in one bulk B-tree build rather than one insert per
+    /// degree. Zero counts are skipped, as [`DegreeHistogram::increment`]
+    /// skips them, so the result equals [`DegreeHistogram::from_counts`]
+    /// on the same pairs.
+    ///
+    /// Ordering is the caller's contract; it is checked with a debug
+    /// assertion only.
+    pub fn from_sorted_counts<I: IntoIterator<Item = (u64, u64)>>(pairs: I) -> Self {
+        let mut total = 0u64;
+        let mut last: Option<u64> = None;
+        let counts = pairs
+            .into_iter()
+            .inspect(|&(d, _)| {
+                debug_assert!(
+                    last.is_none_or(|prev| prev < d),
+                    "from_sorted_counts requires strictly increasing degrees"
+                );
+                last = Some(d);
+            })
+            .filter(|&(_, c)| c > 0)
+            .inspect(|&(_, c)| total += c)
+            .collect();
+        Self { counts, total }
+    }
+
     /// Add `count` observations of degree `d`.
     pub fn increment(&mut self, d: u64, count: u64) {
         if count == 0 {
@@ -387,6 +413,47 @@ mod tests {
     #[cfg(debug_assertions)]
     fn from_sorted_degrees_asserts_ordering_in_debug() {
         let _ = DegreeHistogram::from_sorted_degrees(&[3, 1, 2]);
+    }
+
+    #[test]
+    fn from_sorted_counts_matches_from_counts() {
+        use crate::rng::{Rng, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::seed_from_u64(1);
+        for case in 0..200 {
+            // Strictly increasing degrees from 0 up, gaps of 1–4 with
+            // an occasional jump past any by-value table; a quarter of
+            // the counts zero.
+            let mut d = rng.gen_range(0..3u64);
+            let pairs: Vec<(u64, u64)> = (0..rng.gen_range(0..40usize))
+                .map(|_| {
+                    let c = if rng.gen_range(0..4u32) == 0 {
+                        0
+                    } else {
+                        rng.gen_range(1..1_000u64)
+                    };
+                    let pair = (d, c);
+                    d += if rng.gen_range(0..8u32) == 0 {
+                        rng.gen_range(1..1u64 << 40)
+                    } else {
+                        rng.gen_range(1..5u64)
+                    };
+                    pair
+                })
+                .collect();
+            let bulk = DegreeHistogram::from_sorted_counts(pairs.iter().copied());
+            let reference = DegreeHistogram::from_counts(pairs.iter().copied());
+            assert_eq!(bulk, reference, "case {case}: {pairs:?}");
+            assert_eq!(bulk.total(), reference.total(), "case {case}");
+        }
+        assert!(DegreeHistogram::from_sorted_counts([]).is_empty());
+        assert!(DegreeHistogram::from_sorted_counts([(0, 0), (3, 0)]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly increasing")]
+    #[cfg(debug_assertions)]
+    fn from_sorted_counts_asserts_ordering_in_debug() {
+        let _ = DegreeHistogram::from_sorted_counts([(3, 1), (3, 2)]);
     }
 
     #[test]

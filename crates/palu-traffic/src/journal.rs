@@ -1043,6 +1043,42 @@ mod tests {
         );
     }
 
+    /// The plain bytewise table loop: one lookup and one shift per byte,
+    /// the definition any faster CRC32 must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let table: [u32; 256] = std::array::from_fn(|i| {
+            (0..8).fold(i as u32, |c, _| {
+                if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                }
+            })
+        });
+        !bytes.iter().fold(!0u32, |c, &b| {
+            table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+        })
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition_at_every_length_and_offset() {
+        // Lengths 0–72 cover every remainder past whole 8-byte blocks
+        // (and no block at all); offsets 0–7 cover every alignment.
+        use palu_stats::rng::Rng;
+        let mut rng = palu_stats::rng::Xoshiro256pp::seed_from_u64(1);
+        let buf: Vec<u8> = (0..80).map(|_| rng.next_u64() as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=72 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "offset {offset}, length {len}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fingerprint_separates_parts() {
         assert_ne!(fingerprint64(["ab", "c"]), fingerprint64(["a", "bc"]));
