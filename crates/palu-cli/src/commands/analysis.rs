@@ -31,8 +31,8 @@ pub(super) fn generate(args: &ParsedArgs) -> Result<(), CliError> {
         .map_err(|e| CliError::usage(e.to_string()))?;
     let net = params
         .generator(nodes)
-        .map_err(|e| CliError::usage(e.to_string()))?
-        .generate(&mut Xoshiro256pp::seed_from_u64(seed));
+        .and_then(|gen| gen.try_generate(&mut Xoshiro256pp::seed_from_u64(seed)))
+        .map_err(|e| CliError::usage(e.to_string()))?;
     eprintln!(
         "generated {} nodes, {} edges (C={core}, L={leaves}, U={:.4}, λ={lambda}, α={alpha})",
         net.graph.n_nodes(),

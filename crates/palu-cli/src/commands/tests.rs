@@ -751,6 +751,18 @@ fn generate_validates_parameters() {
     // Missing required options.
     let e = run(&parse(&["generate", "--core", "0.5"])).unwrap_err();
     assert!(e.message.contains("--leaves") || e.message.contains("leaves"));
+    // At α = 1.5 the drawn core degrees would need a stub pool of tens
+    // of GB: refused with the usage code before it is allocated.
+    let out = tmp("generate_refused.txt");
+    let _ = std::fs::remove_file(&out);
+    let e = cli(&format!(
+        "generate --nodes 200000 --core 0.6 --leaves 0.1 --lambda 4.0 --alpha 1.5 --out {}",
+        out.display()
+    ))
+    .unwrap_err();
+    assert_eq!(e.code, exit::USAGE, "{}", e.message);
+    assert!(e.message.contains("stubs"), "{}", e.message);
+    assert!(!out.exists(), "a refused draw wrote {}", out.display());
 }
 
 #[test]

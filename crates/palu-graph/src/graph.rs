@@ -35,6 +35,11 @@ impl Graph {
         }
     }
 
+    /// Reserve room for exactly `additional` more edges.
+    pub fn reserve_edges(&mut self, additional: usize) {
+        self.edges.reserve_exact(additional);
+    }
+
     /// Number of nodes (including isolated ones).
     pub fn n_nodes(&self) -> NodeId {
         self.n_nodes

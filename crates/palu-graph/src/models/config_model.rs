@@ -138,6 +138,31 @@ impl PowerLawConfigModel {
     }
 }
 
+/// Most stubs a sampled degree sequence may hold: 2³¹, whose pairs are
+/// the packet synthesizer's 2³⁰-conversation cap
+/// (`palu_sparse::MAX_CONVERSATIONS`). Below `α = 2` the natural cutoff
+/// passes `n`, and a draw can ask for tens of GB of stubs.
+pub const MAX_STUBS: u64 = 1 << 31;
+
+/// Refuse a degree sequence whose stub total passes [`MAX_STUBS`].
+///
+/// # Errors
+///
+/// Returns [`StatsError::Domain`] naming the total and the cap.
+pub(crate) fn check_stub_total(degrees: &[u64]) -> Result<(), StatsError> {
+    let total = degrees.iter().fold(0u64, |acc, &d| acc.saturating_add(d));
+    if total > MAX_STUBS {
+        return Err(StatsError::domain(
+            "PowerLawConfigModel",
+            format!(
+                "the sampled degrees hold {total} stubs, more than the {MAX_STUBS} (2^31) \
+                 whose pairs fit the 2^30-conversation cap; raise alpha or lower the node count"
+            ),
+        ));
+    }
+    Ok(())
+}
+
 /// The stub pool of a degree sequence: node `i` repeated `degrees[i]`
 /// times, in node order.
 pub(crate) fn stub_pool(degrees: &[u64]) -> Vec<NodeId> {
@@ -160,6 +185,17 @@ mod tests {
         assert!(PowerLawConfigModel::new(100, 1.0).is_err());
         assert!(PowerLawConfigModel::with_cutoff(100, 2.0, 0).is_err());
         assert!(PowerLawConfigModel::new(100, 2.0).is_ok());
+    }
+
+    #[test]
+    fn stub_totals_past_the_cap_are_refused() {
+        let half = MAX_STUBS / 2;
+        assert!(check_stub_total(&[half, half]).is_ok());
+        let err = check_stub_total(&[half, half, 2]).unwrap_err();
+        assert!(matches!(err, StatsError::Domain { .. }), "{err}");
+        assert!(err.to_string().contains("stubs"), "{err}");
+        // A saturating total is refused, not wrapped.
+        assert!(check_stub_total(&[u64::MAX, u64::MAX]).is_err());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! exponent `α` and star rate `λ`, and produces a role-annotated graph.
 
 use crate::graph::Graph;
-use crate::models::config_model::stub_pool;
+use crate::models::config_model::{check_stub_total, stub_pool};
 use crate::models::{BarabasiAlbert, PoissonStars, PowerLawConfigModel};
 use crate::NodeId;
 use palu_stats::error::StatsError;
@@ -151,8 +151,15 @@ impl PaluGenerator {
     /// leaves *after* building a zeta core would instead inflate core
     /// degrees above the model's law (measurably, for leaf-heavy
     /// parameter sets).
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`PaluGenerator::try_generate`]'s refusal: a core
+    /// whose drawn degrees hold more than
+    /// [`MAX_STUBS`](crate::models::config_model::MAX_STUBS) stubs, or a
+    /// field-assembled generator with invalid parameters.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> UnderlyingNetwork {
-        self.try_generate(rng).expect("validated at construction")
+        self.try_generate(rng).expect("PALU network draw refused")
     }
 
     /// Fallible form of [`PaluGenerator::generate`] — identical
@@ -164,18 +171,35 @@ impl PaluGenerator {
     /// # Errors
     ///
     /// Returns [`StatsError::Domain`] for parameters the component
-    /// generators reject (see [`PaluGenerator::new`]).
+    /// generators reject (see [`PaluGenerator::new`]), and for a
+    /// configuration-model core whose drawn degrees hold more than
+    /// [`MAX_STUBS`](crate::models::config_model::MAX_STUBS) stubs,
+    /// before its stub pool is allocated.
     pub fn try_generate<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
     ) -> Result<UnderlyingNetwork, StatsError> {
+        // Edges the leaves and stars add to the core's. The star count is
+        // a Poisson(U_N·λ) draw not yet made: reserve its mean plus
+        // eight standard deviations, so the star append does not regrow.
+        // (A λ that is not a finite non-negative number reserves nothing;
+        // the stars refuse it below.)
+        let star_mean = f64::from(self.n_star_centers) * self.lambda;
+        let star_room = if star_mean >= 0.0 {
+            (star_mean + 8.0 * star_mean.sqrt()).min(f64::from(NodeId::MAX)) as usize
+        } else {
+            0
+        };
+        let appended = self.n_leaves as usize + star_room + 16;
+
         // 1. Core (plus reserved leaf anchors where applicable), and
         // its largest degree.
-        let (core, reserved_anchors, core_max): (Graph, Option<Vec<NodeId>>, u64) =
+        let (mut graph, reserved_anchors, core_max): (Graph, Option<Vec<NodeId>>, u64) =
             match (self.core_generator, self.leaf_attachment) {
                 (CoreGenerator::ConfigModel, LeafAttachment::Preferential) => {
                     let m = PowerLawConfigModel::new(self.n_core, self.alpha)?;
                     let mut degrees = m.sample_degrees(rng);
+                    check_stub_total(&degrees)?;
                     // Build the stub pool and reserve leaf anchors.
                     let mut stubs = stub_pool(&degrees);
                     use palu_stats::rng::SliceRandom;
@@ -201,7 +225,7 @@ impl PaluGenerator {
                     // reserved anchors and twice its dropped self-loops,
                     // so the largest one takes a pass over the anchors
                     // and loops rather than a count over every edge.
-                    let mut g = Graph::with_capacity(self.n_core, stubs.len() / 2);
+                    let mut g = Graph::with_capacity(self.n_core, stubs.len() / 2 + appended);
                     for pair in stubs.chunks_exact(2) {
                         let (u, v) = (pair[0], pair[1]);
                         if u == v {
@@ -222,7 +246,9 @@ impl PaluGenerator {
                 }
                 (CoreGenerator::ConfigModel, LeafAttachment::Uniform) => {
                     let m = PowerLawConfigModel::new(self.n_core, self.alpha)?;
-                    let g = m.generate(rng);
+                    let degrees = m.sample_degrees(rng);
+                    check_stub_total(&degrees)?;
+                    let g = m.generate_with_degrees(rng, &degrees);
                     let core_max = max_degree(&g);
                     (g, None, core_max)
                 }
@@ -237,10 +263,11 @@ impl PaluGenerator {
                 }
             };
 
-        // Start from an empty graph: the subnetworks append themselves
-        // (with id offsets) via `append_into`.
-        let mut graph = Graph::with_capacity(0, core.n_edges() + self.n_leaves as usize);
-        core.append_into(&mut graph);
+        // The core's graph is the output: leaves and stars append to it,
+        // into room reserved once (a no-op for the stub-wired core, built
+        // with that room).
+        graph.reserve_edges(appended);
+        let n_core_edges = graph.n_edges();
         let mut roles = vec![NodeRole::Core; self.n_core as usize];
 
         // 2. Leaves anchored to the core.
@@ -257,10 +284,12 @@ impl PaluGenerator {
                     // Degree-proportional anchoring via random edge
                     // endpoint (BA cores keep the historical behavior
                     // for the ablation).
-                    if core.n_edges() == 0 {
+                    if n_core_edges == 0 {
                         rng.gen_range(0..self.n_core)
                     } else {
-                        let (u, v) = core.edges()[rng.gen_range(0..core.n_edges())];
+                        // Only the core's edges: leaves appended so far
+                        // are not anchors.
+                        let (u, v) = graph.edges()[rng.gen_range(0..n_core_edges)];
                         if rng.gen::<bool>() {
                             u
                         } else {
@@ -546,6 +575,18 @@ mod tests {
         assert!(bad
             .try_generate(&mut Xoshiro256pp::seed_from_u64(9))
             .is_err());
+        // Below α = 2 the natural cutoff passes n: a core whose drawn
+        // degrees hold more than 2³¹ stubs is refused before its stub
+        // pool is allocated, under either leaf attachment.
+        let heavy = PaluGenerator::new(120_000, 20_000, 15_000, 1.5, 4.0).unwrap();
+        for a in [LeafAttachment::Preferential, LeafAttachment::Uniform] {
+            let err = heavy
+                .with_leaf_attachment(a)
+                .try_generate(&mut Xoshiro256pp::seed_from_u64(1))
+                .unwrap_err();
+            assert!(matches!(err, StatsError::Domain { .. }), "{a:?}: {err}");
+            assert!(err.to_string().contains("stubs"), "{a:?}: {err}");
+        }
     }
 
     /// The supernode degree is the largest degree over the core's own

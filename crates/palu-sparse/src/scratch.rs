@@ -59,7 +59,7 @@
 use crate::csr::CsrMatrix;
 use crate::quantities::NetworkQuantity;
 use crate::{Count, NodeId};
-use palu_stats::histogram::DegreeHistogram;
+use palu_stats::histogram::{sorted_runs, DegreeHistogram};
 
 /// Reusable buffers for [`CooMatrix::try_to_csr_with`]
 /// (counting-sort offsets, scatter arrays, per-row sort space, and
@@ -723,20 +723,18 @@ impl Tally {
         self.finish()
     }
 
-    /// Build the histogram of the large degrees, sorted, via the
-    /// run-length fast path, and add the by-value counts to it,
-    /// zeroing `small` as it is read.
+    /// Build the histogram in one bulk pass: the by-value counts in
+    /// degree order, zeroing `small` as it is read, then the runs of the
+    /// sorted large degrees, which all lie above them.
     // lint:hot
     fn finish(&mut self) -> DegreeHistogram {
         self.degrees.sort_unstable();
-        let mut h = DegreeHistogram::from_sorted_degrees(&self.degrees);
-        for (n, d) in self.small.iter_mut().zip(0u64..) {
-            // Most values are no node's degree: skip the call for them.
-            let n = std::mem::take(n);
-            if n > 0 {
-                h.increment(d, n);
-            }
-        }
+        let by_value = self
+            .small
+            .iter_mut()
+            .zip(0u64..)
+            .map(|(n, d)| (d, std::mem::take(n)));
+        let h = DegreeHistogram::from_sorted_counts(by_value.chain(sorted_runs(&self.degrees)));
         self.pending = false;
         h
     }

@@ -52,9 +52,9 @@ impl DegreeHistogram {
     ///
     /// Fast path for callers that already hold sorted degrees (the
     /// window pipeline produces them as a by-product of sort-based
-    /// degree accumulation): equal degrees are run-length collapsed so
-    /// the B-tree sees one insert per *distinct* degree instead of one
-    /// per observation. Produces a histogram identical to
+    /// degree accumulation): equal degrees are run-length collapsed and
+    /// the runs bulk-built by [`DegreeHistogram::from_sorted_counts`].
+    /// Produces a histogram identical to
     /// [`DegreeHistogram::from_degrees`] on the same multiset.
     ///
     /// Ordering is the caller's contract; it is checked with a debug
@@ -67,25 +67,7 @@ impl DegreeHistogram {
                 .all(|(a, b)| a <= b),
             "from_sorted_degrees requires non-decreasing input"
         );
-        let mut h = Self::new();
-        let mut iter = degrees.iter().copied();
-        if let Some(first) = iter.next() {
-            let mut cur = first;
-            let mut run = 1u64;
-            for d in iter {
-                if d == cur {
-                    run += 1;
-                } else {
-                    h.counts.insert(cur, run);
-                    h.total += run;
-                    cur = d;
-                    run = 1;
-                }
-            }
-            h.counts.insert(cur, run);
-            h.total += run;
-        }
-        h
+        Self::from_sorted_counts(sorted_runs(degrees))
     }
 
     /// Build from explicit `(degree, count)` pairs, accumulating
@@ -257,6 +239,14 @@ impl DegreeHistogram {
         }
         out
     }
+}
+
+/// The `(degree, run length)` pairs of a non-decreasing slice of
+/// degrees, in increasing degree order.
+pub fn sorted_runs(degrees: &[u64]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    degrees
+        .chunk_by(|a, b| a == b)
+        .filter_map(|run| Some((*run.first()?, run.len() as u64)))
 }
 
 impl FromIterator<u64> for DegreeHistogram {

@@ -61,8 +61,9 @@
 //! that ends inside the first record is still classified torn (and
 //! resumes from scratch) to keep the kill-point sweep total.
 //!
-//! Hand-rolled CRC32 (IEEE 802.3, table-driven) because the workspace
-//! is dependency-free by policy (lint rule R1).
+//! Hand-rolled CRC32 (IEEE 802.3, slicing-by-8 over compile-time
+//! tables) because the workspace is dependency-free by policy (lint
+//! rule R1).
 
 use crate::fault::{FaultKind, FaultRecord, WindowOutcome};
 use palu_stats::histogram::DegreeHistogram;
@@ -304,10 +305,13 @@ pub fn fingerprint64<'a>(parts: impl IntoIterator<Item = &'a str>) -> u64 {
     h
 }
 
-/// CRC32 lookup table (IEEE 802.3 reflected polynomial 0xEDB88320),
-/// built at compile time.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 slicing-by-8 lookup tables (IEEE 802.3 reflected polynomial
+/// 0xEDB88320), built at compile time. `CRC32_TABLES[0]` is the
+/// bytewise table; `CRC32_TABLES[k][i]` advances byte `i` through `k`
+/// further zero bytes, so one step folds eight bytes with eight
+/// independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -320,18 +324,48 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
+/// One table lookup; a `u8` index is always in range.
+#[inline(always)]
+fn crc32_entry(table: &[u32; 256], byte: u8) -> u32 {
+    table.get(usize::from(byte)).copied().unwrap_or(0)
+}
+
 /// CRC32 (IEEE 802.3) of `bytes` — the checksum guarding every
-/// journal record.
+/// journal record and wire frame. Slicing-by-8: whole 8-byte blocks
+/// take one step each, the remaining 0–7 bytes the bytewise loop.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+    let (blocks, tail) = bytes.as_chunks::<8>();
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in blocks {
+        let [l0, l1, l2, l3] = (c ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+        c = crc32_entry(t7, l0)
+            ^ crc32_entry(t6, l1)
+            ^ crc32_entry(t5, l2)
+            ^ crc32_entry(t4, l3)
+            ^ crc32_entry(t3, b4)
+            ^ crc32_entry(t2, b5)
+            ^ crc32_entry(t1, b6)
+            ^ crc32_entry(t0, b7);
+    }
+    for &b in tail {
+        c = crc32_entry(t0, c as u8 ^ b) ^ (c >> 8);
     }
     !c
 }
@@ -529,7 +563,7 @@ pub(crate) fn parse_window(
             Some(WindowResult {
                 stats,
                 d_max,
-                histogram: DegreeHistogram::from_counts(pairs),
+                histogram: DegreeHistogram::from_sorted_counts(pairs),
             })
         }
         other => return Err(cur.malformed(format!("bad result flag {other}"))),
